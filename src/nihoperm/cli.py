@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from .exponents import make_niho
 from .families import (
-    csv_rows_header,
     gen_conjecture,
     gen_cpp_class,
     gen_cpp_cor2,
     gen_prop1,
     gen_prop3,
     gen_theorem1,
-    instance_row,
     instance_to_obj,
     scan_families,
     scan_to_csv,
@@ -32,7 +29,7 @@ from .families import (
 )
 from .gf2n import SUPPORTED_N, SparsePoly, field_new
 from .spectra import (
-    effective_size_cap,
+    delta_path,
     is_cpp,
     is_permutation_brute,
     is_pp_charsum,
@@ -150,16 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _delta_applicable(poly: SparsePoly, size_cap) -> bool:
-    """Whether the delta engine can run: needs a coprime pivot exponent, and
-    either Niho-congruent exponents (circle path) or n within the size cap."""
-    ctx = poly.ctx
-    pivots = [e for _, e in poly.terms if gcd(e, ctx.mult_order) == 1]
-    if not pivots:
-        return False
-    step = 2**ctx.m - 1
-    congruent = all((e - pivots[0]) % step == 0 for _, e in poly.terms)
-    return congruent or ctx.n <= effective_size_cap(size_cap)
+def _delta_applicable(poly: SparsePoly, args) -> bool:
+    """Whether the delta engine can run on poly under --delta-direct and
+    --size-cap: it needs a pivot exponent and a path that is allowed."""
+    pivot, engine = delta_path(
+        poly.ctx, poly.exponents(), force_direct=args.delta_direct, size_cap=args.size_cap
+    )
+    return pivot is not None and engine is not None
 
 
 def _run_engine(name: str, poly: SparsePoly, args):
@@ -185,7 +179,7 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"unknown engine {e!r}: pick from {ENGINE_CHOICES}")
     else:
         engines = ["brute"]
-        if all(_delta_applicable(t, args.size_cap) for _, t in targets):
+        if all(_delta_applicable(t, args) for _, t in targets):
             engines.append("delta")
 
     results = []
@@ -249,50 +243,36 @@ def _generate_instances(args):
 
 
 def cmd_generate(args) -> int:
-    instances = _generate_instances(args)
-    reports = None
-    if args.check:
-        reports = [
-            is_cpp(inst.poly) if CPP in inst.claims else is_permutation_brute(inst.poly)
-            for inst in instances
-        ]
+    records = []
+    for inst in _generate_instances(args):
+        rep = None
+        if args.check:
+            rep = is_cpp(inst.poly) if CPP in inst.claims else is_permutation_brute(inst.poly)
+        records.append((inst, rep))
+    failures = sum(1 for _, rep in records if rep is not None and not rep.verdict)
 
     if args.format == "csv":
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_rows_header())
-        for i, inst in enumerate(instances):
-            writer.writerow(instance_row(inst, reports[i] if reports else None,
-                                         timing=args.timing))
+        scan_to_csv(records, sys.stdout, timing=args.timing)
     elif args.format == "json":
-        objs = []
-        for i, inst in enumerate(instances):
-            obj = instance_to_obj(inst)
-            if reports:
-                obj["report"] = reports[i].to_json(timing=args.timing)
-            objs.append(obj)
-        print(json.dumps(objs, indent=2))
+        print(json.dumps([instance_to_obj(inst, rep, args.timing) for inst, rep in records],
+                         indent=2))
     else:
-        for i, inst in enumerate(instances):
+        for inst, rep in records:
             line = (
                 f"family={inst.family_id} m={inst.m} "
                 f"poly={inst.poly.to_spec()} claims={'+'.join(sorted(inst.claims))}"
             )
             if inst.u is not None:
                 line += f" u=0x{inst.u:x}"
-            if reports:
-                line += f" verified={str(reports[i].verdict).lower()}"
-                if reports[i].witness is not None:
-                    line += f" witness={reports[i].witness_hex()}"
+            if rep is not None:
+                line += f" verified={str(rep.verdict).lower()}"
+                if rep.witness is not None:
+                    line += f" witness={rep.witness_hex()}"
             print(line)
-        if reports:
-            failures = sum(1 for r in reports if not r.verdict)
-            print(f"instances={len(instances)} failures={failures}")
+        if args.check:
+            print(f"instances={len(records)} failures={failures}")
 
-    if reports and any(not r.verdict for r in reports):
-        return EXIT_CLAIM_FAILED
-    return EXIT_OK
+    return EXIT_OK if failures == 0 else EXIT_CLAIM_FAILED
 
 
 def cmd_scan(args) -> int:
@@ -339,11 +319,7 @@ def cmd_conjecture(args) -> int:
     all_pp = all(rep.verdict for _, _, rep in rows)
 
     if args.format == "json":
-        objs = []
-        for m, inst, rep in rows:
-            obj = instance_to_obj(inst)
-            obj["report"] = rep.to_json(timing=args.timing)
-            objs.append(obj)
+        objs = [instance_to_obj(inst, rep, args.timing) for _, inst, rep in rows]
         print(json.dumps({"results": objs, "all_pp": all_pp}, indent=2))
     else:
         for m, inst, rep in rows:

@@ -89,40 +89,61 @@ def check_theorem1(p: NihoParams) -> Theorem1Conditions:
     )
 
 
-def _theorem1_failure(cond: Theorem1Conditions, p: NihoParams, prop3: bool = False) -> str:
+def _require_theorem1(p: NihoParams, prop3: bool = False) -> int:
+    """r = gcd(l, 2^m + 1) for a pair meeting all three conditions; otherwise
+    a ValueError naming the first that fails (in prop-3 terms if asked)."""
+    cond = check_theorem1(p)
+    if cond.all_ok:
+        return cond.r
     if not cond.gcd_d1_ok:
-        return f"gcd(d1,2^n-1)=1 failed (d1={p.d1}, n={p.n})"
-    if not cond.r_ok:
-        if prop3:
-            return f"condition (i) r:=gcd(s,2^m+1)>1 failed (s={p.s}, r={cond.r})"
-        return f"condition (i) r:=gcd(l,2^m+1)>1 failed (l={p.l}, r={cond.r})"
-    if prop3:
-        return f"condition (ii) gcd(s-1,2^m+1)=1 failed (s={p.s})"
-    return f"condition (ii) gcd(e+l-2s,2^m+1)=1 failed (e={p.e}, l={p.l}, s={p.s})"
+        msg = f"gcd(d1,2^n-1)=1 failed (d1={p.d1}, n={p.n})"
+    elif not cond.r_ok and prop3:
+        msg = f"condition (i) r:=gcd(s,2^m+1)>1 failed (s={p.s}, r={cond.r})"
+    elif not cond.r_ok:
+        msg = f"condition (i) r:=gcd(l,2^m+1)>1 failed (l={p.l}, r={cond.r})"
+    elif prop3:
+        msg = f"condition (ii) gcd(s-1,2^m+1)=1 failed (s={p.s})"
+    else:
+        msg = f"condition (ii) gcd(e+l-2s,2^m+1)=1 failed (e={p.e}, l={p.l}, s={p.s})"
+    raise ValueError(msg)
 
 
-def _field_for(p: NihoParams, ctx: FieldCtx) -> FieldCtx:
+def _field(n: int, ctx: FieldCtx = None) -> FieldCtx:
+    """field_new(n), or ``ctx`` when it equals that field; any other ctx is
+    a ValueError naming both."""
+    field = field_new(n)
     if ctx is None:
-        return field_new(p.n)
-    if ctx.n != p.n:
-        raise ValueError(f"field degree {ctx.n} does not match params n={p.n}")
+        return field
+    if ctx != field:
+        raise ValueError(f"field {ctx!r} does not match {field!r} for n={n}")
     return ctx
+
+
+def _coset_family(family_id: str, claim: str, p: NihoParams, r: int,
+                  ctx: FieldCtx = None, circle: UnitCircle = None, **provenance) -> list:
+    """One instance per u in U \\ U^r on the unit circle of p's field.
+
+    A PP claim gets the binomial x^d1 + u*x^d2, a CPP claim the monomial
+    u^(-1)*x^d1.  ``ctx`` and ``circle`` default to p's field and its circle
+    (callers pass them to share tables across many tuples) and must be those.
+    """
+    ctx = _field(p.n, ctx)
+    if circle is None:
+        circle = build_unit_circle(ctx)
+    elif circle.ctx != ctx:
+        raise ValueError(f"circle of {circle.ctx!r} does not match field {ctx!r}")
+    out = []
+    for u in complement_coset(circle, r):
+        terms = [(1, p.d1), (u, p.d2)] if claim == PP else [(ctx.inv(u), p.d1)]
+        poly = SparsePoly.make(ctx, terms)
+        out.append(FamilyInstance(family_id, p.m, poly, frozenset({claim}), u=u, niho=p,
+                                  **provenance))
+    return out
 
 
 def gen_theorem1(p: NihoParams, ctx: FieldCtx = None, circle: UnitCircle = None) -> list:
     """All binomials x^d1 + u*x^d2 that the three conditions certify for this pair."""
-    cond = check_theorem1(p)
-    if not cond.all_ok:
-        raise ValueError(_theorem1_failure(cond, p))
-    ctx = _field_for(p, ctx)
-    circle = circle or build_unit_circle(ctx)
-    out = []
-    for u in complement_coset(circle, cond.r):
-        poly = SparsePoly.make(ctx, [(1, p.d1), (u, p.d2)])
-        out.append(
-            FamilyInstance("THM1", p.m, poly, frozenset({PP}), u=u, niho=p)
-        )
-    return out
+    return _coset_family("THM1", PP, p, _require_theorem1(p), ctx, circle)
 
 
 _CASE_PARITY = {1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0}
@@ -195,15 +216,8 @@ def gen_prop1(
     ctx: FieldCtx = None, circle: UnitCircle = None,
 ) -> list:
     """Binomial instances x^d1 + u*x^d2, u non-cube on the circle, for one case."""
-    params = prop1_params(case, m, k1, k2, k3)
-    base = gen_theorem1(params, ctx, circle)
-    return [
-        FamilyInstance(
-            f"PROP1_CASE{case}", m, inst.poly, inst.claims,
-            u=inst.u, niho=params, k1=k1, k2=k2, k3=k3,
-        )
-        for inst in base
-    ]
+    params = prop1_params(case, m, k1, k2, k3)  # certified with r = 3
+    return _coset_family(f"PROP1_CASE{case}", PP, params, 3, ctx, circle, k1=k1, k2=k2, k3=k3)
 
 
 def check_prop3(m: int, s: int) -> Theorem1Conditions:
@@ -213,32 +227,15 @@ def check_prop3(m: int, s: int) -> Theorem1Conditions:
 
 def gen_prop3(m: int, s: int, ctx: FieldCtx = None, circle: UnitCircle = None) -> list:
     """Binomials x^d1 + u*x with d1 = s*(2^m-1)+1, u a non-r-th-power."""
-    params = make_niho(m, s, s, 1)
-    cond = check_theorem1(params)
-    if not cond.all_ok:
-        raise ValueError(_theorem1_failure(cond, params, prop3=True))
-    ctx = _field_for(params, ctx)
-    circle = circle or build_unit_circle(ctx)
-    out = []
-    for u in complement_coset(circle, cond.r):
-        poly = SparsePoly.make(ctx, [(1, params.d1), (u, 1)])
-        out.append(FamilyInstance("PROP3", m, poly, frozenset({PP}), u=u, niho=params))
-    return out
+    params = make_niho(m, s, s, 1)  # d2 = 1
+    return _coset_family("PROP3", PP, params, _require_theorem1(params, prop3=True), ctx, circle)
 
 
 def gen_cpp_cor2(m: int, s: int, ctx: FieldCtx = None, circle: UnitCircle = None) -> list:
     """Monomial complete permutations u^(-1)*x^d1 from the same conditions."""
     params = make_niho(m, s, s, 1)
-    cond = check_theorem1(params)
-    if not cond.all_ok:
-        raise ValueError(_theorem1_failure(cond, params, prop3=True))
-    ctx = _field_for(params, ctx)
-    circle = circle or build_unit_circle(ctx)
-    out = []
-    for u in complement_coset(circle, cond.r):
-        poly = SparsePoly.make(ctx, [(ctx.inv(u), params.d1)])
-        out.append(FamilyInstance("COR2_CPP", m, poly, frozenset({CPP}), u=u, niho=params))
-    return out
+    return _coset_family("COR2_CPP", CPP, params, _require_theorem1(params, prop3=True),
+                         ctx, circle)
 
 
 def cpp_class_params(cls: int, m: int, k: int = None) -> tuple:
@@ -289,26 +286,14 @@ def gen_cpp_class(
 ) -> list:
     """Monomial CPP instances u^(-1)*x^d1 for one closed-form class."""
     s, r = cpp_class_params(cls, m, k)
-    params = make_niho(m, s, s, 1)
-    ctx = _field_for(params, ctx)
-    circle = circle or build_unit_circle(ctx)
-    out = []
-    for u in complement_coset(circle, r):
-        poly = SparsePoly.make(ctx, [(ctx.inv(u), params.d1)])
-        out.append(
-            FamilyInstance(f"CPP_CLASS{cls}", m, poly, frozenset({CPP}), u=u, niho=params, k1=k)
-        )
-    return out
+    return _coset_family(f"CPP_CLASS{cls}", CPP, make_niho(m, s, s, 1), r, ctx, circle, k1=k)
 
 
 def conjecture_trinomials(m: int, ctx: FieldCtx = None) -> tuple:
     """The two trinomials conjectured to permute GF(2^(2m)) for every odd m."""
     if m % 2 == 0 or m < 3:
         raise ValueError(f"m must be odd and >= 3, got {m}")
-    if ctx is None:
-        ctx = field_new(2 * m)
-    elif ctx.n != 2 * m:
-        raise ValueError(f"field degree {ctx.n} does not match n={2 * m}")
+    ctx = _field(2 * m, ctx)
     f = SparsePoly.make(
         ctx, [(1, 2**m + 4), (1, 2 ** (m + 1) + 3), (1, 2 ** (m + 2) + 1)]
     )
@@ -471,10 +456,6 @@ def _blank_if_none(v):
     return "" if v is None else v
 
 
-def csv_rows_header() -> list:
-    return list(CSV_COLUMNS)
-
-
 def instance_row(inst: FamilyInstance, rep: VerificationReport = None,
                  timing: bool = False) -> list:
     """One CSV row; verdict and elapsed stay blank without a report/timing."""
@@ -497,10 +478,11 @@ def instance_row(inst: FamilyInstance, rep: VerificationReport = None,
     ]
 
 
-def instance_to_obj(inst: FamilyInstance) -> dict:
-    """JSON-ready provenance for one instance (report attached by callers)."""
+def instance_to_obj(inst: FamilyInstance, rep: VerificationReport = None,
+                    timing: bool = False) -> dict:
+    """JSON-ready provenance for one instance, with its report when given."""
     p = inst.niho
-    return {
+    obj = {
         "family_id": inst.family_id,
         "m": inst.m,
         "params": (
@@ -513,10 +495,14 @@ def instance_to_obj(inst: FamilyInstance) -> dict:
         "poly": inst.poly.to_spec(),
         "claims": [c for c in (PP, CPP) if c in inst.claims],
     }
+    if rep is not None:
+        obj["report"] = rep.to_json(timing=timing)
+    return obj
 
 
 def scan_to_csv(records, stream, timing: bool = False) -> None:
-    """Write scan records as CSV; elapsed_ms stays blank unless timing is on."""
+    """Write (instance, report) records as CSV; a record without a report
+    leaves verdict blank, and elapsed_ms stays blank unless timing is on."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for inst, rep in records:
@@ -526,6 +512,4 @@ def scan_to_csv(records, stream, timing: bool = False) -> None:
 def scan_to_jsonl(records, stream, timing: bool = False) -> None:
     """One JSON object per record, embedding the full verification report."""
     for inst, rep in records:
-        obj = instance_to_obj(inst)
-        obj["report"] = rep.to_json(timing=timing)
-        stream.write(json.dumps(obj) + "\n")
+        stream.write(json.dumps(instance_to_obj(inst, rep, timing)) + "\n")

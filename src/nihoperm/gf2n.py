@@ -82,7 +82,9 @@ class FieldCtx:
     """GF(2^n) with a pinned modulus and primitive element.
 
     Use :func:`field_new` to construct one; instances are cheap and cache
-    their numpy lookup tables lazily.
+    their numpy lookup tables lazily.  Equality is by value: two contexts
+    with the same (n, irreducible, primitive) are equal and hash alike,
+    whether or not they share tables.
     """
 
     def __init__(self, n: int, irreducible: int, primitive: int):
@@ -101,6 +103,17 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, irreducible=0x{self.irreducible:x})"
+
+    def _key(self) -> tuple:
+        return (self.n, self.irreducible, self.primitive)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldCtx):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def field_spec(self) -> dict:
         """JSON-ready description of the field, embedded in every report."""

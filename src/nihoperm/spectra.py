@@ -17,6 +17,12 @@ so each can serve as an oracle for the others:
                           the paired-exponent binomials the count reduces
                           further to a closed-form unique-solution check.
 
+Every engine takes only its polynomial (or, for ``unique_solution_check``,
+its exponent parameters and coefficient): the field comes from the input and
+the unit circle is built from that field, so an engine cannot be handed a
+circle or field that does not belong to its input.  ``delta_path`` is the one
+rule that decides which delta path applies.
+
 The quadratic-cost engines (charsum, and the direct delta scan) refuse fields
 above a size cap: 12 by default, overridable per call or via the
 NIHO_PERM_MAX_N environment variable.
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from time import perf_counter
 
@@ -42,6 +47,7 @@ __all__ = [
     "VerificationReport",
     "char_sum",
     "count_unit_circle_solutions",
+    "delta_path",
     "effective_size_cap",
     "exp_sum_via_niho",
     "is_cpp",
@@ -174,45 +180,55 @@ def is_pp_charsum(g: SparsePoly, *, size_cap=None) -> VerificationReport:
     return VerificationReport("charsum", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 
-def _pivot_and_rest(f: SparsePoly):
-    """Split f into a monic pivot exponent (coprime to 2^n - 1) and the rest.
+def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False, size_cap=None):
+    """Pivot and path of the delta criterion for these exponents of GF(2^n).
 
-    Dividing by the pivot coefficient does not change whether f permutes.
+    Returns (pivot, engine).  ``pivot`` is the index of the first exponent
+    coprime to 2^n - 1, or None when there is none.  ``engine`` is "niho" (the
+    unit-circle path) when every exponent is congruent mod 2^m - 1 and
+    ``force_direct`` is off; otherwise "delta_criterion" (the full-field path)
+    when there is a pivot and n is within the size cap; otherwise None.  The
+    size cap is read only when the full-field path is the one needed.
     """
-    ctx = f.ctx
     pivot = next(
-        (i for i, (_, e) in enumerate(f.terms) if gcd(e, ctx.mult_order) == 1), None
+        (i for i, e in enumerate(exponents) if gcd(e, ctx.mult_order) == 1), None
     )
+    step = 2**ctx.m - 1
+    if not force_direct and all((e - exponents[0]) % step == 0 for e in exponents):
+        return pivot, "niho"
+    if pivot is not None and ctx.n <= effective_size_cap(size_cap):
+        return pivot, "delta_criterion"
+    return pivot, None
+
+
+def is_pp_delta_criterion(
+    f: SparsePoly, *, force_direct: bool = False, size_cap=None
+) -> VerificationReport:
+    """Delta-criterion permutation test; witness is the first delta that fails.
+
+    The path is :func:`delta_path`'s: when every exponent is congruent to the
+    pivot mod 2^m - 1 the per-delta character sum is evaluated on the unit
+    circle of f's field (engine "niho", cost about 2^n * 2^m); otherwise, or
+    under ``force_direct``, each sum is taken over the whole field (engine
+    "delta_criterion", cost 2^(2n), size-capped).
+    """
+    t0 = perf_counter()
+    ctx = f.ctx
+    pivot, engine = delta_path(ctx, f.exponents(), force_direct=force_direct, size_cap=size_cap)
     if pivot is None:
         raise ValueError(
             "delta criterion needs a term with exponent coprime to 2^n - 1; "
             f"none found in {f.to_spec()!r}"
         )
+    if engine is None:
+        _require_within_cap(ctx, size_cap, "delta_criterion")
+
+    # Dividing by the pivot coefficient does not change whether f permutes.
     c1, d1 = f.terms[pivot]
     rest = [t for i, t in enumerate(f.terms) if i != pivot]
     if c1 != 1:
         ic = ctx.inv(c1)
         rest = [(ctx.mul(c, ic), e) for c, e in rest]
-    return d1, rest
-
-
-def is_pp_delta_criterion(
-    f: SparsePoly, *, force_direct: bool = False, size_cap=None, circle: UnitCircle = None
-) -> VerificationReport:
-    """Delta-criterion permutation test; witness is the first delta that fails.
-
-    When every exponent is congruent to the pivot mod 2^m - 1 the per-delta
-    character sum is evaluated on the unit circle (engine "niho", cost about
-    2^n * 2^m); otherwise, or under ``force_direct``, each sum is taken over
-    the whole field (engine "delta_criterion", cost 2^(2n), size-capped).
-    """
-    t0 = perf_counter()
-    ctx = f.ctx
-    d1, rest = _pivot_and_rest(f)
-    step = 2**ctx.m - 1
-    use_circle = not force_direct and all((e - d1) % step == 0 for _, e in rest)
-    if not use_circle:
-        _require_within_cap(ctx, size_cap, "delta_criterion")
 
     # delta^(d1 - d_i) for every delta at once, one table per non-pivot term
     shifts = [
@@ -220,13 +236,11 @@ def is_pp_delta_criterion(
     ]
     coeffs = [c for c, _ in rest]
 
+    use_circle = engine == "niho"
     if use_circle:
-        engine = "niho"
-        circle = circle or build_unit_circle(ctx)
-        points = np.array(circle.elements, dtype=np.uint32)
+        points = np.array(build_unit_circle(ctx).elements, dtype=np.uint32)
         member = ctx.subfield_mask()
     else:
-        engine = "delta_criterion"
         points = ctx.domain()
         tb = ctx.trace_bits()
     base = ctx.pow_vec(points, d1)
@@ -260,10 +274,11 @@ def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
             f"for {len(d_list) - 1}"
         )
     ds = [canonical_exponent(d, ctx.n) for d in d_list]
-    step = 2**ctx.m - 1
-    if any((d - ds[0]) % step != 0 for d in ds[1:]):
-        raise ValueError(f"exponents {ds} are not all congruent mod 2^m - 1 = {step}")
-    if gcd(ds[0], ctx.mult_order) != 1:
+    # size_cap=0 rules out the full-field path: only the circle shape passes
+    pivot, engine = delta_path(ctx, ds, size_cap=0)
+    if engine != "niho":
+        raise ValueError(f"exponents {ds} are not all congruent mod 2^m - 1 = {2**ctx.m - 1}")
+    if pivot != 0:
         raise ValueError(f"gcd(d1={ds[0]}, 2^n - 1) != 1")
     for w in w_list:
         if not 0 <= w < ctx.order:
@@ -271,49 +286,38 @@ def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
     return ds
 
 
-def count_unit_circle_solutions(ctx: FieldCtx, d_list, w_list, circle: UnitCircle = None) -> int:
-    """N = #{lam on the unit circle : lam^d1 + sum w_i lam^d_i lies in GF(2^m)}.
+def count_unit_circle_solutions(ctx: FieldCtx, d_list, w_list) -> int:
+    """N = #{lam on the unit circle of ctx : lam^d1 + sum w_i lam^d_i lies in GF(2^m)}.
 
     Defined for exponents all congruent mod 2^m - 1 with gcd(d1, 2^n - 1) = 1.
     """
     ds = _check_niho_shape(ctx, d_list, w_list)
-    circle = circle or build_unit_circle(ctx)
-    points = np.array(circle.elements, dtype=np.uint32)
+    points = np.array(build_unit_circle(ctx).elements, dtype=np.uint32)
     h = ctx.pow_vec(points, ds[0])
     for w, d in zip(w_list, ds[1:]):
         h ^= ctx.scalar_mul_vec(w, ctx.pow_vec(points, d))
     return int(ctx.subfield_mask()[h].sum())
 
 
-def exp_sum_via_niho(ctx: FieldCtx, d_list, w_list, circle: UnitCircle = None) -> int:
+def exp_sum_via_niho(ctx: FieldCtx, d_list, w_list) -> int:
     """The character sum of x^d1 + sum w_i x^d_i, as (N - 1) * 2^m.
 
     N is :func:`count_unit_circle_solutions`; the collapse from 2^n summands
     to a circle count is what makes Niho exponents tractable.
     """
-    n_sol = count_unit_circle_solutions(ctx, d_list, w_list, circle)
+    n_sol = count_unit_circle_solutions(ctx, d_list, w_list)
     return (n_sol - 1) << ctx.m
-
-
-@lru_cache(maxsize=128)
-def _circle_tables(circle: UnitCircle, d1: int, d2: int):
-    """Per-(circle, d1, d2) powers lam^d1, lam^d2, lam^(d1+d2) and a shared
-    verdict cache for already-examined w values."""
-    ctx = circle.ctx
-    a = [ctx.pow(lam, d1) for lam in circle.elements]
-    b = [ctx.pow(lam, d2) for lam in circle.elements]
-    c = [ctx.mul(x, y) for x, y in zip(a, b)]
-    return a, b, c, {}
 
 
 def _unique_solution_at_w(circle: UnitCircle, w: int, tables, inv_exp: int) -> bool:
     """Check the factorized equation w*lam^d2 = lam^d1 or w*lam^(d1+d2) = 1.
 
-    True iff the first factor has no root on the circle and the second has
-    exactly one, located at w^(-inv_exp).
+    ``tables`` holds lam^d1, lam^d2 and lam^(d1+d2) for every lam on the
+    circle.  True iff the first factor has no root on the circle and the
+    second has exactly one, located at w^(-inv_exp).
     """
     ctx = circle.ctx
-    a, b, c, _ = tables
+    a, b, c = tables
     for ai, bi in zip(a, b):
         if ctx.mul(w, bi) == ai:
             return False
@@ -324,10 +328,9 @@ def _unique_solution_at_w(circle: UnitCircle, w: int, tables, inv_exp: int) -> b
     return circle.elements[roots[0]] == expected
 
 
-def unique_solution_check(
-    params: NihoParams, u: int, ctx: FieldCtx = None, circle: UnitCircle = None
-) -> VerificationReport:
-    """Verify x^d1 + u*x^d2 permutes by the unit-circle unique-root argument.
+def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
+    """Verify x^d1 + u*x^d2 over GF(2^n), n = params.n, permutes by the
+    unit-circle unique-root argument.
 
     For every delta != 0 the delta-criterion instance has coefficient
     w = u * delta^(d1 - d2), which stays on the unit circle; the instance
@@ -340,11 +343,8 @@ def unique_solution_check(
     gcd(e + l - 2s, 2^m + 1) = 1, and u on the circle but not an r-th power.
     """
     t0 = perf_counter()
-    if ctx is None:
-        ctx = field_new(params.n)
-    elif ctx.n != params.n:
-        raise ValueError(f"field degree {ctx.n} does not match params n={params.n}")
-    circle = circle or build_unit_circle(ctx)
+    ctx = field_new(params.n)
+    circle = build_unit_circle(ctx)
     m_ord = circle.order  # 2^m + 1
     if not params.gcd_d1_one:
         raise ValueError(f"gcd(d1, 2^n - 1) != 1 for d1={params.d1}")
@@ -359,8 +359,9 @@ def unique_solution_check(
     if ctx.pow(u, m_ord // r) == 1:
         raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
 
-    tables = _circle_tables(circle, params.d1, params.d2)
-    w_ok = tables[3]
+    a = [ctx.pow(lam, params.d1) for lam in circle.elements]
+    b = [ctx.pow(lam, params.d2) for lam in circle.elements]
+    tables = (a, b, [ctx.mul(x, y) for x, y in zip(a, b)])
     inv_exp = pow(params.d1 + params.d2, -1, m_ord)  # exists by condition (ii)
     l_mod = params.l % m_ord
 
@@ -371,11 +372,7 @@ def unique_solution_check(
     bad_j = None
     for t in range(m_ord // r):
         widx = (iu + t * r) % m_ord
-        ok = w_ok.get(widx)
-        if ok is None:
-            ok = _unique_solution_at_w(circle, circle.elements[widx], tables, inv_exp)
-            w_ok[widx] = ok
-        if not ok:
+        if not _unique_solution_at_w(circle, circle.elements[widx], tables, inv_exp):
             # smallest j >= 0 with j*l = t*r (mod 2^m + 1), i.e. delta = alpha^j
             # hits this coset member first
             j = t * pow(l_mod // r, -1, m_ord // r) % (m_ord // r) if l_mod else 0

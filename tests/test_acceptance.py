@@ -113,7 +113,7 @@ def test_acceptance_3_explicit_cases_double_checked(capsys):
             for inst in gen_prop1(case, m, k1, k2, k3, ctx, circle):
                 total += 1
                 brute_ok = is_permutation_brute(inst.poly).verdict
-                circle_ok = unique_solution_check(inst.niho, inst.u, ctx, circle).verdict
+                circle_ok = unique_solution_check(inst.niho, inst.u).verdict
                 if not (brute_ok and circle_ok):
                     failures += 1
     elapsed = perf_counter() - t0
@@ -169,7 +169,7 @@ def test_acceptance_5_collapsed_sum_identity(capsys):
             ws = [rng.randint(1, ctx.order - 1) for _ in ds]
             g = SparsePoly.make(ctx, [(1, d1)] + list(zip(ws, ds)))
             checked += 1
-            if exp_sum_via_niho(ctx, [d1] + ds, ws, circle) != char_sum(g, 1):
+            if exp_sum_via_niho(ctx, [d1] + ds, ws) != char_sum(g, 1):
                 mismatches += 1
     ok = checked == 400 and mismatches == 0
     announce(

@@ -5,8 +5,11 @@ can be asserted exactly; one subprocess test covers the installed entry point.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from nihoperm import cli
 from nihoperm.gf2n import field_new
 from nihoperm.spectra import VerificationReport
 from nihoperm.unit_circle import build_unit_circle, complement_coset
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +128,25 @@ def test_verify_size_cap_blocks_quadratic_engine(capsys):
         "--engines", "charsum", "--size-cap", "6",
     )
     assert code == 64 and "size cap" in err
+
+
+def test_verify_default_engines_follow_delta_direct(capsys):
+    # Niho-shaped at n = 14: the circle path applies, the full-field path is
+    # above the default size cap of 12
+    poly = "1:130,3e8a:16132"
+    code, out, _ = run_cli(capsys, "verify", "--n", "14", "--poly", poly)
+    assert code == 0 and "engine=niho target=f verdict=true" in out
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "14", "--poly", poly, "--delta-direct"
+    )
+    assert code == 0, err
+    assert [l for l in out.splitlines() if l.startswith("engine=")] == [
+        "engine=brute target=f verdict=true"
+    ]
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "14", "--poly", poly, "--engines", "delta", "--delta-direct"
+    )
+    assert code == 64 and "n=14 exceeds the size cap 12" in err
 
 
 def test_verify_engine_disagreement_exit_code(capsys, monkeypatch):
@@ -292,12 +316,18 @@ def test_help_exits_zero():
     assert ei.value.code == 0
 
 
-def test_installed_entry_point_runs():
+def test_installed_entry_point_runs(monkeypatch):
+    """The console script when installed, else the module entry point run
+    from this checkout's sources."""
     exe = shutil.which("nihoperm")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    if exe is not None:
+        cmd = [exe]
+    else:
+        cmd = [sys.executable, "-m", "nihoperm.cli"]
+        paths = [SRC, os.environ.get("PYTHONPATH", "")]
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [exe, "conjecture", "--m", "3"], capture_output=True, text=True, timeout=60
+        cmd + ["conjecture", "--m", "3"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "all_pp=true"

@@ -22,7 +22,6 @@ from nihoperm.families import (
     check_theorem1,
     conjecture_trinomials,
     cpp_class_params,
-    csv_rows_header,
     gen_conjecture,
     gen_cpp_class,
     gen_cpp_cor2,
@@ -37,7 +36,7 @@ from nihoperm.families import (
     scan_to_jsonl,
     _prop1_sweep,
 )
-from nihoperm.gf2n import field_new
+from nihoperm.gf2n import FieldCtx, field_new
 from nihoperm.spectra import is_cpp, is_permutation_brute, unique_solution_check
 from nihoperm.unit_circle import build_unit_circle, complement_coset
 
@@ -90,6 +89,31 @@ def test_gen_theorem1_rejects_bad_params(ctx6, circle6):
         gen_theorem1(make_niho(5, 13, 3, 1))
     with pytest.raises(ValueError, match="does not match"):
         gen_theorem1(make_niho(3, 1, 3, 3), field_new(8))
+
+
+GENERATORS_M3 = {
+    "thm1": lambda ctx, circle: gen_theorem1(make_niho(3, 1, 3, 3), ctx, circle),
+    "prop1": lambda ctx, circle: gen_prop1(1, 3, 1, 1, 1, ctx, circle),
+    "prop3": lambda ctx, circle: gen_prop3(3, 6, ctx, circle),
+    "cor2": lambda ctx, circle: gen_cpp_cor2(3, 6, ctx, circle),
+    "cpp-class": lambda ctx, circle: gen_cpp_class(3, 3, None, ctx, circle),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GENERATORS_M3))
+def test_generators_reject_a_foreign_field_or_circle(group, ctx6):
+    gen = GENERATORS_M3[group]
+    with pytest.raises(ValueError, match=r"FieldCtx\(n=8, .*does not match"):
+        gen(field_new(8), None)
+    with pytest.raises(ValueError, match=r"FieldCtx\(n=6, irreducible=0x61\).*does not match"):
+        gen(FieldCtx(6, 0x61, 0x2), None)
+    for n in (4, 8):
+        with pytest.raises(ValueError, match=rf"circle of FieldCtx\(n={n}, .*does not match"):
+            gen(ctx6, build_unit_circle(field_new(n)))
+    with pytest.raises(ValueError, match="does not match"):
+        gen(None, build_unit_circle(field_new(4)))
+    # an equal field built separately is accepted, circle included
+    assert gen(field_new(6), build_unit_circle(field_new(6))) == gen(None, None)
 
 
 # -- the six explicit r = 3 cases ------------------------------------------------
@@ -149,7 +173,7 @@ def test_gen_prop1_relabels_instances(ctx6, circle6):
         assert (inst.k1, inst.k2, inst.k3) == (1, 1, 1)
         assert inst.claims == frozenset({PP})
         assert is_permutation_brute(inst.poly).verdict
-        rep = unique_solution_check(inst.niho, inst.u, ctx6, circle6)
+        rep = unique_solution_check(inst.niho, inst.u)
         assert rep.verdict
 
 
@@ -274,6 +298,8 @@ def test_conjecture_validation(ctx6):
         conjecture_trinomials(1)
     with pytest.raises(ValueError, match="does not match"):
         conjecture_trinomials(5, ctx6)
+    with pytest.raises(ValueError, match="does not match"):
+        conjecture_trinomials(3, FieldCtx(6, 0x61, 0x2))
 
 
 def test_gen_conjecture_instances(ctx6):
@@ -356,7 +382,6 @@ def test_csv_output_shape_and_determinism():
     assert buf1.getvalue() == buf2.getvalue()  # byte-identical without timing
     lines = buf1.getvalue().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert csv_rows_header() == CSV_COLUMNS
     rows = [line.split(",") for line in lines[1:]]
     assert all(len(r) == len(CSV_COLUMNS) for r in rows)
     conj = [r for r in rows if r[0] == "CONJ_F"]

@@ -212,6 +212,18 @@ def test_field_spec_shape(ctx):
     json.dumps(spec)  # serializable as-is
 
 
+def test_field_equality_is_by_value():
+    for n in SUPPORTED_N:
+        a, b = field_new(n), field_new(n)
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert field_new(6) != field_new(8)
+    assert field_new(6) != FieldCtx(6, 0x61, 0x2)  # same n, another modulus
+    assert field_new(6) != 6
+    assert SparsePoly.from_spec(field_new(6), "1:10,6:52") == SparsePoly.from_spec(
+        field_new(6), "1:10,6:52"
+    )
+
+
 # -- vectorized kernels -------------------------------------------------------
 
 

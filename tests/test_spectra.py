@@ -18,6 +18,7 @@ from nihoperm.spectra import (
     VerificationReport,
     char_sum,
     count_unit_circle_solutions,
+    delta_path,
     effective_size_cap,
     exp_sum_via_niho,
     is_cpp,
@@ -25,8 +26,8 @@ from nihoperm.spectra import (
     is_pp_charsum,
     is_pp_delta_criterion,
     unique_solution_check,
-    _circle_tables,
 )
+from nihoperm import spectra
 from nihoperm.unit_circle import build_unit_circle, complement_coset, power_subgroup
 
 
@@ -224,7 +225,7 @@ def test_delta_direct_agrees_with_brute_on_random_polys():
             ), f.to_spec()
 
 
-def test_delta_both_paths_match_brute_for_all_binomial_coefficients(ctx6, circle6):
+def test_delta_both_paths_match_brute_for_all_binomial_coefficients(ctx6):
     """x^10 + u x^52 over GF(2^6) for every u != 0: four engines, one verdict.
 
     The exponent pair is Niho-shaped, so the circle path applies for every u,
@@ -238,7 +239,7 @@ def test_delta_both_paths_match_brute_for_all_binomial_coefficients(ctx6, circle
     for u in range(1, ctx6.order):
         f = SparsePoly.make(ctx6, [(1, d1), (u, d2)])
         want = is_permutation_brute(f).verdict
-        rep_c = is_pp_delta_criterion(f, circle=circle6)
+        rep_c = is_pp_delta_criterion(f)
         rep_d = is_pp_delta_criterion(f, force_direct=True)
         assert rep_c.engine == "niho" and rep_d.engine == "delta_criterion"
         assert rep_c.verdict == rep_d.verdict == want
@@ -258,14 +259,14 @@ def test_delta_both_paths_match_brute_for_all_binomial_coefficients(ctx6, circle
     assert failures > 0  # the sweep must exercise the witness branch
 
 
-def test_delta_handles_non_unit_pivot_coefficient(ctx6, circle6):
+def test_delta_handles_non_unit_pivot_coefficient(ctx6):
     rng = random.Random(31)
     for _ in range(10):
         c = rng.randint(2, ctx6.order - 1)
         u = rng.randint(1, ctx6.order - 1)
         f = SparsePoly.make(ctx6, [(c, 10), (u, 52)])
         want = is_permutation_brute(f).verdict
-        assert is_pp_delta_criterion(f, circle=circle6).verdict == want
+        assert is_pp_delta_criterion(f).verdict == want
         assert is_pp_delta_criterion(f, force_direct=True).verdict == want
 
 
@@ -276,6 +277,21 @@ def test_delta_on_known_permutation_trinomials(ctx6):
         assert rep.engine == "niho" and rep.verdict
         assert is_pp_delta_criterion(f, force_direct=True).verdict
         assert is_permutation_brute(f).verdict
+
+
+def test_delta_path_pivot_and_engine(ctx6, monkeypatch):
+    monkeypatch.setenv("NIHO_PERM_MAX_N", "not a number")  # read only off the circle
+    assert delta_path(ctx6, (10, 52)) == (0, "niho")
+    assert delta_path(ctx6, (3, 10)) == (1, "niho")  # 10 - 3 = 7 = 2^m - 1
+    assert delta_path(ctx6, (7, 14)) == (None, "niho")
+    assert delta_path(ctx6, (7, 9)) == (None, None)
+    with pytest.raises(ValueError, match="NIHO_PERM_MAX_N"):
+        delta_path(ctx6, (10, 52), force_direct=True)
+    monkeypatch.delenv("NIHO_PERM_MAX_N")
+    assert delta_path(ctx6, (10, 52), force_direct=True) == (0, "delta_criterion")
+    assert delta_path(ctx6, (2, 10)) == (0, "delta_criterion")
+    assert delta_path(ctx6, (2, 10), size_cap=4) == (0, None)
+    assert delta_path(field_new(14), (130, 16132), force_direct=True) == (0, None)
 
 
 # -- size cap ---------------------------------------------------------------------
@@ -316,9 +332,8 @@ def test_circle_paths_ignore_size_cap(monkeypatch):
     rep = is_pp_delta_criterion(SparsePoly.make(ctx, [(1, 5)]))
     assert rep.engine == "niho" and rep.verdict
     params = make_niho(7, 1, 3, 3)
-    circle = build_unit_circle(ctx)
-    u = complement_coset(circle, 3)[0]
-    rep = unique_solution_check(params, u, ctx, circle)
+    u = complement_coset(build_unit_circle(ctx), 3)[0]
+    rep = unique_solution_check(params, u)
     assert rep.engine == "niho" and rep.verdict
 
 
@@ -330,7 +345,6 @@ def test_collapsed_sum_matches_char_sum():
     for n in (4, 6, 8):
         ctx = field_new(n)
         m = ctx.m
-        circle = build_unit_circle(ctx)
         coprime = [d for d in range(1, ctx.mult_order) if gcd(d, ctx.mult_order) == 1]
         for _ in range(30):
             d1 = rng.choice(coprime)
@@ -339,14 +353,14 @@ def test_collapsed_sum_matches_char_sum():
             ds = [canonical_exponent(d1 + t * (2**m - 1), n) for t in ts]
             ws = [rng.randint(1, ctx.order - 1) for _ in ds]
             g = SparsePoly.make(ctx, [(1, d1)] + list(zip(ws, ds)))
-            assert exp_sum_via_niho(ctx, [d1] + ds, ws, circle) == char_sum(g, 1)
+            assert exp_sum_via_niho(ctx, [d1] + ds, ws) == char_sum(g, 1)
 
 
-def test_circle_count_for_monomial_is_one(ctx6, circle6):
+def test_circle_count_for_monomial_is_one(ctx6):
     for d1 in (1, 5, 10, 11):
         assert gcd(d1, 63) == 1
-        assert count_unit_circle_solutions(ctx6, [d1], [], circle6) == 1
-        assert exp_sum_via_niho(ctx6, [d1], [], circle6) == 0
+        assert count_unit_circle_solutions(ctx6, [d1], []) == 1
+        assert exp_sum_via_niho(ctx6, [d1], []) == 0
 
 
 def test_circle_count_input_validation(ctx6):
@@ -368,7 +382,7 @@ def test_circle_count_input_validation(ctx6):
 def test_unique_solution_accepts_whole_eligible_coset(ctx6, circle6):
     params = make_niho(3, 1, 3, 3)
     for u in complement_coset(circle6, 3):
-        rep = unique_solution_check(params, u, ctx6, circle6)
+        rep = unique_solution_check(params, u)
         assert rep.verdict and rep.witness is None and rep.engine == "niho"
         f = SparsePoly.make(ctx6, [(1, params.d1), (u, params.d2)])
         assert is_permutation_brute(f).verdict
@@ -386,7 +400,7 @@ def test_unique_solution_l_congruent_zero(ctx6, circle6):
     params = make_niho(3, 4, 9, 1)
     assert params.d1 == params.d2 == 29
     for u in complement_coset(circle6, 9):
-        rep = unique_solution_check(params, u, ctx6, circle6)
+        rep = unique_solution_check(params, u)
         assert rep.verdict
         f = SparsePoly.make(ctx6, [(1, params.d1), (u, params.d2)])
         assert len(f.terms) == 1  # merged into (1 ^ u) x^29
@@ -395,67 +409,50 @@ def test_unique_solution_l_congruent_zero(ctx6, circle6):
 
 def test_unique_solution_precondition_errors(ctx6, circle6):
     u = complement_coset(circle6, 3)[0]
-    with pytest.raises(ValueError, match="does not match"):
-        unique_solution_check(make_niho(3, 1, 3, 3), u, field_new(8))
     with pytest.raises(ValueError, match="gcd\\(d1"):
-        unique_solution_check(make_niho(3, 1, 3, 7), u, ctx6, circle6)
+        unique_solution_check(make_niho(3, 1, 3, 7), u)
     with pytest.raises(ValueError, match="condition \\(i\\)"):
-        unique_solution_check(make_niho(3, 1, 1, 3), u, ctx6, circle6)
-    ctx10 = field_new(10)
-    circle10 = build_unit_circle(ctx10)
+        unique_solution_check(make_niho(3, 1, 1, 3), u)
+    circle10 = build_unit_circle(field_new(10))
     with pytest.raises(ValueError, match="condition \\(ii\\)"):
-        unique_solution_check(
-            make_niho(5, 13, 3, 1), complement_coset(circle10, 3)[0], ctx10, circle10
-        )
+        unique_solution_check(make_niho(5, 13, 3, 1), complement_coset(circle10, 3)[0])
     with pytest.raises(ValueError, match="not on the unit circle"):
-        unique_solution_check(make_niho(3, 1, 3, 3), 0, ctx6, circle6)
+        unique_solution_check(make_niho(3, 1, 3, 3), 0)
     off = ctx6.pow(ctx6.primitive, 9)  # generates the subfield, not the circle
     with pytest.raises(ValueError, match="not on the unit circle"):
-        unique_solution_check(make_niho(3, 1, 3, 3), off, ctx6, circle6)
+        unique_solution_check(make_niho(3, 1, 3, 3), off)
     cube = power_subgroup(circle6, 3)[1]
     with pytest.raises(ValueError, match="r-th power"):
-        unique_solution_check(make_niho(3, 1, 3, 3), cube, ctx6, circle6)
+        unique_solution_check(make_niho(3, 1, 3, 3), cube)
     with pytest.raises(ValueError, match="r-th power"):
-        unique_solution_check(make_niho(3, 1, 3, 3), 1, ctx6, circle6)
+        unique_solution_check(make_niho(3, 1, 3, 3), 1)
 
 
-def test_unique_solution_witness_recovery():
-    """Force failures into the shared verdict cache and check the reported
-    delta is the earliest power of the primitive element reaching them."""
+def test_unique_solution_witness_recovery(monkeypatch):
+    """Force failures at chosen coset members and check the reported delta
+    is the earliest power of the primitive element reaching them."""
     ctx = field_new(6)
     circle = build_unit_circle(ctx)
     params = make_niho(3, 1, 3, 3)
     u = complement_coset(circle, 3)[0]
     M, r = circle.order, 3
     iu = circle.index[u]
-    try:
-        assert unique_solution_check(params, u, ctx, circle).verdict
-        w_ok = _circle_tables(circle, params.d1, params.d2)[3]
-        poisoned = (1, 2)
-        for t in poisoned:
-            w_ok[(iu + t * r) % M] = False
-        rep = unique_solution_check(params, u, ctx, circle)
-        assert not rep.verdict
-        # oracle: smallest j with j*l = t*r (mod M), minimized over failures
-        expect_j = min(
-            next(j for j in range(M) if (j * params.l) % M == (t * r) % M)
-            for t in poisoned
-        )
-        assert rep.witness == ctx.pow(ctx.primitive, expect_j)
-    finally:
-        _circle_tables.cache_clear()
-
-
-def test_unique_solution_shares_tables_between_calls(ctx6, circle6):
-    params = make_niho(3, 1, 3, 3)
-    try:
-        _circle_tables.cache_clear()
-        for u in complement_coset(circle6, 3):
-            unique_solution_check(params, u, ctx6, circle6)
-        info = _circle_tables.cache_info()
-        assert info.misses == 1 and info.hits == 5
-    finally:
-        _circle_tables.cache_clear()
+    assert unique_solution_check(params, u).verdict
+    poisoned = (1, 2)
+    failing = {circle.elements[(iu + t * r) % M] for t in poisoned}
+    real = spectra._unique_solution_at_w
+    monkeypatch.setattr(
+        spectra, "_unique_solution_at_w",
+        lambda circle, w, *rest: w not in failing and real(circle, w, *rest),
+    )
+    rep = unique_solution_check(params, u)
+    assert not rep.verdict
+    # oracle: smallest j with j*l = t*r (mod M), minimized over failures
+    expect_j = min(
+        next(j for j in range(M) if (j * params.l) % M == (t * r) % M)
+        for t in poisoned
+    )
+    assert rep.witness == ctx.pow(ctx.primitive, expect_j)
 
 
 # -- complete permutations ------------------------------------------------------------

@@ -397,6 +397,10 @@ def scan_families(
     for g in groups:
         if g not in FAMILY_GROUPS:
             raise ValueError(f"unknown family group {g!r}: pick from {FAMILY_GROUPS}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 (or None for every tuple), got {budget}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     records = []
     for m in m_range:
         ctx = field_new(2 * m)

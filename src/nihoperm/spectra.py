@@ -13,9 +13,11 @@ so each can serve as an oracle for the others:
                           delta != 0, where w_i(delta) = u_i delta^(d1 - d_i).
 * ``niho``             -- when all exponents are congruent mod 2^m - 1, each
                           delta-criterion sum collapses to (N - 1) * 2^m with
-                          N counted on the (2^m + 1)-point unit circle, and for
-                          the paired-exponent binomials the count reduces
-                          further to a closed-form unique-solution check.
+                          N counted on the (2^m + 1)-point unit circle.  N
+                          depends only on delta's class mod 2^m + 1; one count,
+                          ``_circle_counts``, gives every class at once, and
+                          the niho path, ``count_unit_circle_solutions`` and
+                          ``unique_solution_check`` all call it.
 
 Every engine takes only its polynomial (or, for ``unique_solution_check``,
 its exponent parameters and coefficient): the field comes from the input and
@@ -206,11 +208,13 @@ def is_pp_delta_criterion(
 ) -> VerificationReport:
     """Delta-criterion permutation test; witness is the first delta that fails.
 
-    The path is :func:`delta_path`'s: when every exponent is congruent to the
-    pivot mod 2^m - 1 the per-delta character sum is evaluated on the unit
-    circle of f's field (engine "niho", cost about 2^n * 2^m); otherwise, or
-    under ``force_direct``, each sum is taken over the whole field (engine
-    "delta_criterion", cost 2^(2n), size-capped).
+    The path is :func:`delta_path`'s.  When every exponent is congruent to the
+    pivot mod 2^m - 1 the per-delta sum depends only on the class of delta
+    mod 2^m + 1, and :func:`_circle_counts` gives every class at once (engine
+    "niho", about (2^m + 1)^2 array work, plus one whole-field power to place
+    the witness on failure).  Otherwise, or under ``force_direct``, each sum
+    is taken over the whole field (engine "delta_criterion", cost 2^(2n),
+    size-capped).
     """
     t0 = perf_counter()
     ctx = f.ctx
@@ -229,40 +233,61 @@ def is_pp_delta_criterion(
     if c1 != 1:
         ic = ctx.inv(c1)
         rest = [(ctx.mul(c, ic), e) for c, e in rest]
-
-    # delta^(d1 - d_i) for every delta at once, one table per non-pivot term
-    shifts = [
-        ctx.pow_vec(ctx.domain(), (d1 - e) % ctx.mult_order) for _, e in rest
-    ]
     coeffs = [c for c, _ in rest]
+    shifts = [(d1 - e) % ctx.mult_order for _, e in rest]
 
-    use_circle = engine == "niho"
-    if use_circle:
-        points = np.array(build_unit_circle(ctx).elements, dtype=np.uint32)
-        member = ctx.subfield_mask()
+    verdict, witness = True, None
+    if engine == "niho":
+        # delta^(d1 - d_i) = (delta^(2^m - 1))^q_i, and delta^(2^m - 1) is the
+        # circle point whose index is the class of delta
+        step = 2**ctx.m - 1
+        circle = build_unit_circle(ctx)
+        counts = _circle_counts(
+            circle, [d1] + [e for _, e in rest], coeffs, [s // step for s in shifts]
+        )
+        bad = counts != 1
+        if bad.any():
+            failing = np.zeros(ctx.order, dtype=bool)
+            failing[np.array(circle.elements, dtype=np.uint32)[bad]] = True
+            classes = ctx.pow_vec(ctx.domain()[1:], step)
+            verdict, witness = False, 1 + int(np.argmax(failing[classes]))
     else:
         points = ctx.domain()
         tb = ctx.trace_bits()
-    base = ctx.pow_vec(points, d1)
-    parts = [ctx.pow_vec(points, e) for _, e in rest]
-
-    verdict, witness = True, None
-    if not rest:
-        deltas = [1]  # all deltas give the same sum for a monomial
-    else:
-        deltas = range(1, ctx.order)
-    for delta in deltas:
-        h = base.copy()
-        for c, shift, part in zip(coeffs, shifts, parts):
-            h ^= ctx.scalar_mul_vec(ctx.mul(c, int(shift[delta])), part)
-        if use_circle:
-            ok = int(member[h].sum()) == 1
-        else:
-            ok = int(tb[h].sum()) * 2 == ctx.order
-        if not ok:
-            verdict, witness = False, delta
-            break
+        # delta^(d1 - d_i) for every delta at once, one table per non-pivot term
+        tables = [ctx.pow_vec(points, s) for s in shifts]
+        base = ctx.pow_vec(points, d1)
+        parts = [ctx.pow_vec(points, e) for _, e in rest]
+        # all deltas give the same sum for a monomial
+        for delta in range(1, ctx.order) if rest else [1]:
+            h = base.copy()
+            for c, table, part in zip(coeffs, tables, parts):
+                h ^= ctx.scalar_mul_vec(ctx.mul(c, int(table[delta])), part)
+            if int(tb[h].sum()) * 2 != ctx.order:
+                verdict, witness = False, delta
+                break
     return VerificationReport(engine, verdict, witness, perf_counter() - t0, ctx.field_spec())
+
+
+def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
+    """The unit-circle count N(t) for every class t in [0, 2^m + 1).
+
+    N(t) = #{lam on the circle : lam^d1 + sum_i c_i g^(t q_i) lam^(d_i) lies
+    in GF(2^m)}, where ``ds`` = [d1, d_2, ...], g is the circle generator and
+    ``circle.elements[i]`` = g^i.  Writing lam = g^a, a term is
+    (c_i * elements)[(t q_i + a d_i) mod M] with M = 2^m + 1, so one
+    (rows x M) array of table lookups holds every class.  N(t) depends on t
+    only mod M / gcd(M, q_1, ...); only those rows are computed.
+    """
+    ctx = circle.ctx
+    pts = np.array(circle.elements, dtype=np.uint32)
+    M = len(pts)
+    t = np.arange(M // gcd(M, *qs))[:, None]
+    a = np.arange(M)
+    h = np.tile(pts[a * ds[0] % M], (len(t), 1))
+    for c, d, q in zip(coeffs, ds[1:], qs):
+        h ^= ctx.scalar_mul_vec(c, pts)[(t * q + a * d) % M]
+    return np.resize(ctx.subfield_mask()[h].sum(axis=1), M)
 
 
 def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
@@ -290,13 +315,10 @@ def count_unit_circle_solutions(ctx: FieldCtx, d_list, w_list) -> int:
     """N = #{lam on the unit circle of ctx : lam^d1 + sum w_i lam^d_i lies in GF(2^m)}.
 
     Defined for exponents all congruent mod 2^m - 1 with gcd(d1, 2^n - 1) = 1.
+    This is class 0 of :func:`_circle_counts`.
     """
     ds = _check_niho_shape(ctx, d_list, w_list)
-    points = np.array(build_unit_circle(ctx).elements, dtype=np.uint32)
-    h = ctx.pow_vec(points, ds[0])
-    for w, d in zip(w_list, ds[1:]):
-        h ^= ctx.scalar_mul_vec(w, ctx.pow_vec(points, d))
-    return int(ctx.subfield_mask()[h].sum())
+    return int(_circle_counts(build_unit_circle(ctx), ds, w_list, [0] * len(w_list))[0])
 
 
 def exp_sum_via_niho(ctx: FieldCtx, d_list, w_list) -> int:
@@ -309,35 +331,20 @@ def exp_sum_via_niho(ctx: FieldCtx, d_list, w_list) -> int:
     return (n_sol - 1) << ctx.m
 
 
-def _unique_solution_at_w(circle: UnitCircle, w: int, tables, inv_exp: int) -> bool:
-    """Check the factorized equation w*lam^d2 = lam^d1 or w*lam^(d1+d2) = 1.
-
-    ``tables`` holds lam^d1, lam^d2 and lam^(d1+d2) for every lam on the
-    circle.  True iff the first factor has no root on the circle and the
-    second has exactly one, located at w^(-inv_exp).
-    """
-    ctx = circle.ctx
-    a, b, c = tables
-    for ai, bi in zip(a, b):
-        if ctx.mul(w, bi) == ai:
-            return False
-    roots = [i for i, ci in enumerate(c) if ctx.mul(w, ci) == 1]
-    if len(roots) != 1:
-        return False
-    expected = ctx.pow(w, circle.order - inv_exp)
-    return circle.elements[roots[0]] == expected
-
-
 def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
     """Verify x^d1 + u*x^d2 over GF(2^n), n = params.n, permutes by the
     unit-circle unique-root argument.
 
-    For every delta != 0 the delta-criterion instance has coefficient
-    w = u * delta^(d1 - d2), which stays on the unit circle; the instance
-    passes iff lam = w^(-1/(d1 + d2)) is the only circle root of
-    w*lam^d1 + lam^(-d2)... equivalently of the factorization
-    (w*lam^d2 + lam^d1) * (w*lam^(d1+d2) + 1).  Witness on failure is the
-    smallest power of the primitive element whose delta fails.
+    For delta = alpha^j the delta-criterion instance has coefficient
+    w = u * delta^(d1 - d2) = u * g^(j*q) on the unit circle, with
+    q = (d1 - d2) / (2^m - 1) and g the circle generator, so the count
+    depends only on the class j mod 2^m + 1 and :func:`_circle_counts` gives
+    all classes in one call.  Each count should be 1: for lam and w on the
+    circle, lam^d1 + w*lam^d2 lies in GF(2^m) iff
+    (w*lam^d2 + lam^d1) * (w*lam^(d1+d2) + 1) = 0; the second factor has the
+    single root w^(-1/(d1 + d2)) by condition (ii), and the first has none
+    because u is not an r-th power.  Witness on failure is alpha^j for the
+    smallest failing j, which is the smallest failing class.
 
     Preconditions: gcd(d1, 2^n - 1) = 1, r = gcd(l, 2^m + 1) > 1,
     gcd(e + l - 2s, 2^m + 1) = 1, and u on the circle but not an r-th power.
@@ -353,34 +360,18 @@ def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
         raise ValueError(f"condition (i) fails: gcd(l={params.l}, 2^m + 1) = 1")
     if gcd(params.e + params.l - 2 * params.s, m_ord) != 1:
         raise ValueError("condition (ii) fails: gcd(e + l - 2s, 2^m + 1) > 1")
-    iu = circle.index.get(u)
-    if iu is None:
+    if u not in circle:
         raise ValueError(f"u = 0x{u:x} is not on the unit circle")
     if ctx.pow(u, m_ord // r) == 1:
         raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
 
-    a = [ctx.pow(lam, params.d1) for lam in circle.elements]
-    b = [ctx.pow(lam, params.d2) for lam in circle.elements]
-    tables = (a, b, [ctx.mul(x, y) for x, y in zip(a, b)])
-    inv_exp = pow(params.d1 + params.d2, -1, m_ord)  # exists by condition (ii)
-    l_mod = params.l % m_ord
-
-    # As delta runs over powers of the primitive element, w = u*delta^(d1-d2)
-    # walks the coset u*U^r with index step gcd(l, 2^m + 1) = r, so checking
-    # each coset member once covers every delta; the earliest failing delta
-    # is recovered from the failing member's position in the walk.
-    bad_j = None
-    for t in range(m_ord // r):
-        widx = (iu + t * r) % m_ord
-        if not _unique_solution_at_w(circle, circle.elements[widx], tables, inv_exp):
-            # smallest j >= 0 with j*l = t*r (mod 2^m + 1), i.e. delta = alpha^j
-            # hits this coset member first
-            j = t * pow(l_mod // r, -1, m_ord // r) % (m_ord // r) if l_mod else 0
-            bad_j = j if bad_j is None else min(bad_j, j)
-    if bad_j is None:
+    q = (params.d1 - params.d2) % ctx.mult_order // (2**ctx.m - 1)
+    counts = _circle_counts(circle, [params.d1, params.d2], [u], [q])
+    bad = np.flatnonzero(counts != 1)
+    if len(bad) == 0:
         verdict, witness = True, None
     else:
-        verdict, witness = False, ctx.pow(ctx.primitive, bad_j)
+        verdict, witness = False, ctx.pow(ctx.primitive, int(bad[0]))
     return VerificationReport("niho", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 

@@ -271,6 +271,14 @@ def test_scan_usage_errors(capsys):
     assert code == 64 and "unknown family group" in err
 
 
+def test_scan_rejects_budget_and_k_max_below_range(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(capsys, "scan", "--m", "5", "--budget", budget)
+        assert code == 64 and "budget must be >= 1" in err and out == ""
+    code, out, err = run_cli(capsys, "scan", "--m", "3", "--k-max", "-1")
+    assert code == 64 and "k_max must be >= 0" in err and out == ""
+
+
 # -- conjecture ---------------------------------------------------------------
 
 

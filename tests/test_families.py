@@ -318,6 +318,17 @@ def test_scan_families_empty_and_unknown_group():
         scan_families([3], families=("thm1", "prop2"))
 
 
+def test_scan_families_rejects_budget_and_k_max_below_range():
+    # a zero budget used to verify nothing, a negative one to fail inside
+    # random.sample, and a negative k_max to empty two sweeps quietly
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            scan_families([5], budget)
+    with pytest.raises(ValueError, match="k_max"):
+        scan_families([3], k_max=-1)
+    assert scan_families([3], 1, families=("cpp-class",), k_max=0)
+
+
 def test_scan_families_m3_all_verified():
     records = scan_families([3])
     assert records

@@ -1,0 +1,97 @@
+"""Property tests of the unit-circle engines on random Niho-congruent input.
+
+The niho path, the direct delta path and ``brute`` must agree on every
+polynomial whose exponents are congruent mod 2^m - 1, with equal witnesses
+on failure.  ``count_unit_circle_solutions`` is checked against a scalar
+count over the circle points, which shares no code with the engines.
+"""
+
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nihoperm.gf2n import SparsePoly, field_new
+from nihoperm.spectra import (
+    count_unit_circle_solutions,
+    is_permutation_brute,
+    is_pp_delta_criterion,
+)
+from nihoperm.unit_circle import build_unit_circle
+
+CIRCLES = {n: build_unit_circle(field_new(n)) for n in (4, 6, 8, 10)}
+
+PROPERTY = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def coefficient(n):
+    """A nonzero coefficient, on the unit circle or anywhere in the field."""
+    circle = CIRCLES[n]
+    return st.one_of(st.sampled_from(circle.elements), st.integers(1, circle.ctx.order - 1))
+
+
+@st.composite
+def niho_shapes(draw):
+    """(n, d1, extra exponents): 1-3 extras congruent to d1 mod 2^m - 1.
+
+    d1 is coprime to 2^n - 1.  Unless ``pivot_first`` is drawn, the lowest
+    exponent is one that is not coprime, so the pivot is not the first term.
+    """
+    n = draw(st.sampled_from(sorted(CIRCLES)))
+    ctx = CIRCLES[n].ctx
+    step = 2**ctx.m - 1
+    d1 = draw(st.sampled_from([d for d in range(1, ctx.order) if gcd(d, ctx.mult_order) == 1]))
+    members = [e for e in range(1, ctx.order) if (e - d1) % step == 0 and e != d1]
+    leads = [e for e in members if e < d1 and gcd(e, ctx.mult_order) != 1]
+    extras = []
+    if leads and not draw(st.booleans(), label="pivot_first"):
+        extras.append(draw(st.sampled_from(leads)))
+        members = [e for e in members if e > extras[0]]
+    k = draw(st.integers(1 - len(extras), min(3 - len(extras), len(members))))
+    extras += draw(st.permutations(members))[:k]
+    return n, d1, extras
+
+
+@st.composite
+def niho_polys(draw):
+    n, d1, extras = draw(niho_shapes())
+    terms = [(draw(coefficient(n)), e) for e in [d1] + extras]
+    return SparsePoly.make(CIRCLES[n].ctx, terms)
+
+
+@PROPERTY
+@given(niho_polys())
+def test_niho_direct_and_brute_agree(f):
+    niho = is_pp_delta_criterion(f)
+    direct = is_pp_delta_criterion(f, force_direct=True)
+    assert niho.engine == "niho" and direct.engine == "delta_criterion"
+    assert niho.verdict == direct.verdict == is_permutation_brute(f).verdict
+    assert niho.witness == direct.witness
+
+
+def circle_count_oracle(ctx, circle, d_list, w_list):
+    """Scalar count of circle points lam with lam^d1 + sum w_i lam^d_i in GF(2^m)."""
+    count = 0
+    for lam in circle.elements:
+        v = ctx.pow(lam, d_list[0])
+        for w, d in zip(w_list, d_list[1:]):
+            v ^= ctx.mul(w, ctx.pow(lam, d))
+        count += ctx.pow(v, 2**ctx.m) == v
+    return count
+
+
+@PROPERTY
+@given(st.data())
+def test_circle_count_matches_scalar_oracle(data):
+    n, d1, extras = data.draw(niho_shapes())
+    circle = CIRCLES[n]
+    ctx = circle.ctx
+    ws = [data.draw(st.one_of(st.just(0), coefficient(n))) for _ in extras]
+    want = circle_count_oracle(ctx, circle, [d1] + extras, ws)
+    assert count_unit_circle_solutions(ctx, [d1] + extras, ws) == want

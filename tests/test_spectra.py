@@ -429,8 +429,9 @@ def test_unique_solution_precondition_errors(ctx6, circle6):
 
 
 def test_unique_solution_witness_recovery(monkeypatch):
-    """Force failures at chosen coset members and check the reported delta
-    is the earliest power of the primitive element reaching them."""
+    """Force failures at the classes whose coefficient is a chosen coset
+    member and check the reported delta is the earliest power of the
+    primitive element reaching them."""
     ctx = field_new(6)
     circle = build_unit_circle(ctx)
     params = make_niho(3, 1, 3, 3)
@@ -440,11 +441,17 @@ def test_unique_solution_witness_recovery(monkeypatch):
     assert unique_solution_check(params, u).verdict
     poisoned = (1, 2)
     failing = {circle.elements[(iu + t * r) % M] for t in poisoned}
-    real = spectra._unique_solution_at_w
-    monkeypatch.setattr(
-        spectra, "_unique_solution_at_w",
-        lambda circle, w, *rest: w not in failing and real(circle, w, *rest),
-    )
+    real = spectra._circle_counts
+
+    def poisoned_counts(circle, ds, coeffs, qs):
+        # class j has coefficient u * g^(j*q): the coset member iu + j*q
+        counts = real(circle, ds, coeffs, qs)
+        for j in range(M):
+            if circle.elements[(iu + j * qs[0]) % M] in failing:
+                counts[j] = 0
+        return counts
+
+    monkeypatch.setattr(spectra, "_circle_counts", poisoned_counts)
     rep = unique_solution_check(params, u)
     assert not rep.verdict
     # oracle: smallest j with j*l = t*r (mod M), minimized over failures

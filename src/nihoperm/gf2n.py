@@ -21,12 +21,16 @@ The modulus is the irreducible trinomial with the smallest integer encoding,
 falling back to the smallest pentanomial when no trinomial exists (n = 8, 16);
 the primitive element is the smallest generator of the multiplicative group.
 
-Scalar operations work bit by bit on ints.  Bulk operations (`mul_vec`,
-`pow_vec`, ...) act on numpy uint32 arrays and are what make exhausting a
-2^20-element domain affordable; they are cross-checked against the scalar
-routines in the test suite.  No log/antilog tables are used anywhere, so the
-cost of a field multiplication is the same whether or not the field fits in
-cache.
+Scalar operations work bit by bit on ints.  Bulk operations act on numpy
+uint32 arrays and are what make exhausting a 2^20-element domain affordable;
+they are cross-checked against the scalar routines in the test suite.  The
+kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
+`trace_bits`, `subfield_mask`) are one table lookup for the low m = n/2 bits
+of each element XORed with one for the high m bits, each table holding
+2^m <= 1024 images.  The product of two arrays (`mul_vec`, and so the
+multiplications inside `pow_vec`) keeps the shift-and-reduce bit loop.  No
+log/antilog tables are used anywhere, so the cost of a field multiplication
+is the same whether or not the field fits in cache.
 """
 
 from __future__ import annotations
@@ -50,22 +54,6 @@ _PINNED = {
 }
 
 SUPPORTED_N = tuple(sorted(_PINNED))
-
-_SPREAD10 = None  # lazy 1024-entry table: bit i of the index moves to bit 2i
-
-
-def _spread10() -> np.ndarray:
-    """Table interleaving a zero bit after each of the 10 low bits."""
-    global _SPREAD10
-    if _SPREAD10 is None:
-        x = np.arange(1024, dtype=np.uint32)
-        x = (x | (x << 8)) & np.uint32(0x00FF00FF)
-        x = (x | (x << 4)) & np.uint32(0x0F0F0F0F)
-        x = (x | (x << 2)) & np.uint32(0x33333333)
-        x = (x | (x << 1)) & np.uint32(0x55555555)
-        _SPREAD10 = x
-    return _SPREAD10
-
 
 def canonical_exponent(k: int, n: int) -> int:
     """Reduce an exponent k >= 1 into [1, 2^n - 1] preserving x -> x^k on GF(2^n).
@@ -97,7 +85,7 @@ class FieldCtx:
         self.irreducible = irreducible
         self.primitive = primitive
         self._domain = None
-        self._red = None
+        self._sqr = None
         self._trace_bits = None
         self._subfield_mask = None
 
@@ -174,6 +162,8 @@ class FieldCtx:
 
     def trace(self, a: int, sub_m: int = 1) -> int:
         """Trace from GF(2^n) onto the subfield GF(2^sub_m)."""
+        if sub_m < 1:
+            raise ValueError(f"sub_m={sub_m} must be >= 1")
         if self.n % sub_m != 0:
             raise ValueError(f"sub_m={sub_m} does not divide n={self.n}")
         acc = a
@@ -209,51 +199,41 @@ class FieldCtx:
             a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
         return p
 
-    def scalar_mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """c * arr for a single field element c (bit loop over c only)."""
-        if c == 0:
-            return np.zeros_like(arr)
-        if c == 1:
-            return arr.copy()
-        a = arr.astype(np.uint32, copy=True)
-        p = np.zeros_like(a)
-        irr = np.uint32(self.irreducible)
-        while c:
-            if c & 1:
-                p ^= a
-            c >>= 1
-            a <<= np.uint32(1)
-            a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
-        return p
+    def _times_basis(self, c: int, count: int) -> list:
+        """c * x^j for j = 0 .. count - 1, by one shift-and-reduce chain."""
+        images = []
+        for _ in range(count):
+            images.append(c)
+            c <<= 1
+            if c & self.order:
+                c ^= self.irreducible
+        return images
 
-    def _red_table(self) -> np.ndarray:
-        """RED[h] = (h << n) mod irreducible, for h below 2^(n-1)."""
-        if self._red is None:
-            n = self.n
-            mask = self.order - 1
-            # residues of x^(n+i) for i = 0 .. n-2
-            r = self.irreducible & mask
-            singles = [r]
-            for _ in range(n - 2):
-                r <<= 1
-                if r & self.order:
-                    r ^= self.irreducible
-                singles.append(r)
-            red = np.zeros(1 << (n - 1), dtype=np.uint32)
-            for i, ri in enumerate(singles):
-                red[1 << i : 2 << i] = red[: 1 << i] ^ np.uint32(ri)
-            self._red = red
-        return self._red
+    def _linear_map(self, images):
+        """The GF(2)-linear map sending x^j to images[j], on uint32 arrays.
+
+        An element is split into its low and high m bits; each half indexes
+        a table of its 2^m images, built by doubling, and the two are XORed.
+        """
+        tables = np.zeros((2, 1 << self.m), dtype=np.uint32)
+        halves = np.array(images, dtype=np.uint32).reshape(2, self.m, 1)
+        for j in range(self.m):
+            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ halves[:, j]
+        lo, hi = tables
+        mask, shift = np.uint32((1 << self.m) - 1), np.uint32(self.m)
+        return lambda arr: lo.take(arr & mask) ^ hi.take(arr >> shift)
+
+    def scalar_mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
+        """c * arr for a single field element c."""
+        if not 0 <= c < self.order:
+            raise ValueError(f"scalar c={c} outside GF(2^{self.n})")
+        return self._linear_map(self._times_basis(c, self.n))(arr)
 
     def sqr_vec(self, arr: np.ndarray) -> np.ndarray:
-        """Elementwise square: interleave zero bits, then table-reduce."""
-        spread = _spread10()
-        a = arr.astype(np.uint32, copy=False)
-        sq = spread[a & np.uint32(0x3FF)].astype(np.uint64)
-        sq |= spread[a >> np.uint32(10)].astype(np.uint64) << np.uint64(20)
-        lo = (sq & np.uint64(self.mult_order)).astype(np.uint32)
-        hi = (sq >> np.uint64(self.n)).astype(np.int64)
-        return lo ^ self._red_table()[hi]
+        """Elementwise square, through the cached tables of x^j -> x^(2j)."""
+        if self._sqr is None:
+            self._sqr = self._linear_map(self._times_basis(1, 2 * self.n - 1)[::2])
+        return self._sqr(arr)
 
     def pow_vec(self, arr: np.ndarray, k: int) -> np.ndarray:
         """Elementwise arr**k for k >= 0 (same 0-versus-2^n-1 care as pow)."""
@@ -275,21 +255,16 @@ class FieldCtx:
     def trace_bits(self) -> np.ndarray:
         """Cached uint8 array: absolute trace of every field element."""
         if self._trace_bits is None:
-            t = self.domain().copy()
-            acc = t.copy()
-            for _ in range(self.n - 1):
-                t = self.sqr_vec(t)
-                acc ^= t
-            self._trace_bits = acc.astype(np.uint8)
+            images = [self.trace(1 << j) for j in range(self.n)]
+            self._trace_bits = self._linear_map(images)(self.domain()).astype(np.uint8)
         return self._trace_bits
 
     def subfield_mask(self) -> np.ndarray:
         """Cached bool array marking the subfield GF(2^m) inside GF(2^n)."""
         if self._subfield_mask is None:
-            t = self.domain().copy()
-            for _ in range(self.m):
-                t = self.sqr_vec(t)
-            self._subfield_mask = t == self.domain()
+            images = [self.pow(1 << j, 1 << self.m) for j in range(self.n)]
+            d = self.domain()
+            self._subfield_mask = self._linear_map(images)(d) == d
         return self._subfield_mask
 
 

@@ -64,15 +64,20 @@ DEFAULT_SIZE_CAP = 12
 
 def effective_size_cap(explicit=None) -> int:
     """Largest n the quadratic engines accept: explicit arg, else the
-    NIHO_PERM_MAX_N environment variable, else 12."""
+    NIHO_PERM_MAX_N environment variable, else 12.  A cap of 0 admits no n."""
     if explicit is not None:
+        if explicit < 0:
+            raise ValueError(f"size_cap must be >= 0, got {explicit}")
         return explicit
     env = os.environ.get("NIHO_PERM_MAX_N")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"NIHO_PERM_MAX_N must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise ValueError(f"NIHO_PERM_MAX_N must be >= 0, got {env!r}")
+        return cap
     return DEFAULT_SIZE_CAP
 
 

@@ -130,6 +130,17 @@ def test_verify_size_cap_blocks_quadratic_engine(capsys):
     assert code == 64 and "size cap" in err
 
 
+def test_verify_rejects_negative_size_cap(capsys, monkeypatch):
+    # not Niho-shaped, so the default engines read the cap for the delta path
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "6", "--poly", "1:5,3:11", "--size-cap", "-1"
+    )
+    assert code == 64 and out == "" and "size_cap must be >= 0" in err
+    monkeypatch.setenv("NIHO_PERM_MAX_N", "-3")
+    code, out, err = run_cli(capsys, "verify", "--n", "6", "--poly", "1:5,3:11")
+    assert code == 64 and out == "" and "NIHO_PERM_MAX_N must be >= 0" in err
+
+
 def test_verify_default_engines_follow_delta_direct(capsys):
     # Niho-shaped at n = 14: the circle path applies, the full-field path is
     # above the default size cap of 12

@@ -180,6 +180,9 @@ def test_trace_onto_subfield(ctx):
     bad_sub = next(k for k in range(3, ctx.n + 2) if ctx.n % k != 0)
     with pytest.raises(ValueError):
         ctx.trace(1, bad_sub)
+    for sub_m in (0, -1):
+        with pytest.raises(ValueError, match="sub_m"):
+            ctx.trace(0x2C, sub_m)
 
 
 def test_trace_tower_exact():
@@ -244,14 +247,30 @@ def test_scalar_mul_vec_matches_mul_vec(ctx):
         got = ctx.scalar_mul_vec(c, sample)
         want = ctx.mul_vec(np.full(len(sample), c, np.uint32), sample)
         assert np.array_equal(got, want)
+    for c in (ctx.order, -1):
+        with pytest.raises(ValueError, match=f"c={c} outside GF\\(2\\^{ctx.n}\\)"):
+            ctx.scalar_mul_vec(c, sample)
 
 
 def test_sqr_vec_matches_scalar(ctx):
-    d = ctx.domain() if ctx.n <= 10 else ctx.domain()[:4096]
-    got = ctx.sqr_vec(d)
-    idx = random.Random(7000 + ctx.n).sample(range(len(d)), min(64, len(d)))
-    for i in idx:
-        assert int(got[i]) == ctx.sqr(int(d[i]))
+    rng = random.Random(7000 + ctx.n)
+    sample = np.array(rng.sample(range(ctx.order), min(ctx.order, 4096)), np.uint32)
+    got = ctx.sqr_vec(sample)
+    for i in range(0, len(sample), 16):
+        assert int(got[i]) == ctx.sqr(int(sample[i]))
+
+
+@pytest.mark.parametrize("n", [n for n in SUPPORTED_N if n <= 12])
+def test_linear_kernels_on_every_element(n):
+    ctx = field_new(n)
+    d = ctx.domain()
+    elems = range(ctx.order)
+    assert ctx.sqr_vec(d).tolist() == [ctx.sqr(x) for x in elems]
+    c_rand = random.Random(7500 + n).randrange(ctx.order)
+    for c in (0, 1, ctx.primitive, ctx.order - 1, c_rand):
+        assert ctx.scalar_mul_vec(c, d).tolist() == [ctx.mul(c, x) for x in elems]
+    assert ctx.trace_bits().tolist() == [ctx.trace(x) for x in elems]
+    assert ctx.subfield_mask().tolist() == [ctx.pow(x, 2**ctx.m) == x for x in elems]
 
 
 def test_pow_vec_matches_scalar(ctx):

@@ -310,6 +310,14 @@ def test_effective_size_cap(monkeypatch):
     monkeypatch.setenv("NIHO_PERM_MAX_N", "many")
     with pytest.raises(ValueError, match="integer"):
         effective_size_cap()
+    monkeypatch.setenv("NIHO_PERM_MAX_N", "-3")
+    with pytest.raises(ValueError, match="NIHO_PERM_MAX_N must be >= 0"):
+        effective_size_cap()
+    monkeypatch.setenv("NIHO_PERM_MAX_N", "0")
+    assert effective_size_cap() == 0  # legal: admits no n
+    assert effective_size_cap(0) == 0
+    with pytest.raises(ValueError, match="size_cap must be >= 0"):
+        effective_size_cap(-1)
 
 
 def test_size_cap_blocks_quadratic_engines(monkeypatch):

@@ -30,6 +30,7 @@ from .families import (
 from .gf2n import SUPPORTED_N, SparsePoly, field_new
 from .spectra import (
     delta_path,
+    effective_size_cap,
     is_cpp,
     is_permutation_brute,
     is_pp_charsum,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--delta-direct", action="store_true",
                           help="force the delta engine onto the full-field sum")
     p_verify.add_argument("--size-cap", type=int, default=None,
-                          help="override the quadratic-engine size cap")
+                          help="override the size cap of the whole-field character engines")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--timing", action="store_true",
                           help="include elapsed_ms in reports")
@@ -167,6 +168,9 @@ def _run_engine(name: str, poly: SparsePoly, args):
 
 
 def cmd_verify(args) -> int:
+    if args.size_cap is not None:
+        # checked here because the circle path never reads the cap
+        effective_size_cap(args.size_cap)
     ctx = field_new(args.n)
     poly = SparsePoly.from_spec(ctx, args.poly)
     targets = [("f", poly)]

@@ -25,9 +25,12 @@ the unit circle is built from that field, so an engine cannot be handed a
 circle or field that does not belong to its input.  ``delta_path`` is the one
 rule that decides which delta path applies.
 
-The quadratic-cost engines (charsum, and the direct delta scan) refuse fields
-above a size cap: 12 by default, overridable per call or via the
-NIHO_PERM_MAX_N environment variable.
+charsum and the direct delta path both read every character sum off one
+spectrum, ``_char_spectrum``: a Walsh-Hadamard transform of the image
+histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
+O(2^n) sum for one gamma, independent of the spectrum.  Both whole-field
+character engines refuse fields above a size cap: 12 by default,
+overridable per call or via the NIHO_PERM_MAX_N environment variable.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ DEFAULT_SIZE_CAP = 12
 
 
 def effective_size_cap(explicit=None) -> int:
-    """Largest n the quadratic engines accept: explicit arg, else the
-    NIHO_PERM_MAX_N environment variable, else 12.  A cap of 0 admits no n."""
+    """Largest n the whole-field character engines accept: explicit arg,
+    else the NIHO_PERM_MAX_N environment variable, else 12.  A cap of 0
+    admits no n."""
     if explicit is not None:
         if explicit < 0:
             raise ValueError(f"size_cap must be >= 0, got {explicit}")
@@ -85,7 +89,7 @@ def _require_within_cap(ctx: FieldCtx, size_cap, engine: str) -> None:
     cap = effective_size_cap(size_cap)
     if ctx.n > cap:
         raise ValueError(
-            f"{engine} engine scans 2^(2n) character values; n={ctx.n} exceeds the "
+            f"{engine} engine reads the whole-field character spectrum; n={ctx.n} exceeds the "
             f"size cap {cap} (pass size_cap or set NIHO_PERM_MAX_N to override)"
         )
 
@@ -171,19 +175,41 @@ def char_sum(g: SparsePoly, gamma: int) -> int:
     return ctx.order - 2 * ones
 
 
+def _char_spectrum(g: SparsePoly) -> np.ndarray:
+    """S(gamma) = sum over x of (-1)^Tr(gamma * g(x)), for every gamma at once.
+
+    With H the image histogram, S(gamma) = sum over y of H[y] (-1)^Tr(gamma*y),
+    and Tr(gamma * y) is the GF(2) dot product of the bits of y with A*gamma,
+    where (A*gamma)_j = Tr(gamma * x^j).  So S is the Walsh-Hadamard
+    transform of H read at A*gamma: O(n 2^n) in all.  Every partial sum is
+    bounded by 2^n, so the int64 butterfly is exact.
+    """
+    ctx = g.ctx
+    spectrum = np.bincount(_values_over_domain(g), minlength=ctx.order)
+    h = 1
+    while h < ctx.order:
+        pairs = spectrum.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+        h *= 2
+    # A sends x^i to sum_j Tr(x^(i+j)) << j; one trace per power x^0 .. x^(2n-2)
+    traces = [ctx.trace(p) for p in ctx._times_basis(1, 2 * ctx.n - 1)]
+    form = ctx._linear_map(
+        [sum(traces[i + j] << j for j in range(ctx.n)) for i in range(ctx.n)]
+    )
+    return spectrum[form(ctx.domain())]
+
+
 def is_pp_charsum(g: SparsePoly, *, size_cap=None) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
     ctx = g.ctx
     _require_within_cap(ctx, size_cap, "charsum")
     t0 = perf_counter()
-    values = _values_over_domain(g)
-    tb = ctx.trace_bits()
-    verdict, witness = True, None
-    for gamma in range(1, ctx.order):
-        ones = int(tb[ctx.scalar_mul_vec(gamma, values)].sum())
-        if ctx.order != 2 * ones:
-            verdict, witness = False, gamma
-            break
+    failing = np.flatnonzero(_char_spectrum(g)[1:])
+    verdict = len(failing) == 0
+    witness = None if verdict else 1 + int(failing[0])
     return VerificationReport("charsum", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 
@@ -217,9 +243,9 @@ def is_pp_delta_criterion(
     pivot mod 2^m - 1 the per-delta sum depends only on the class of delta
     mod 2^m + 1, and :func:`_circle_counts` gives every class at once (engine
     "niho", about (2^m + 1)^2 array work, plus one whole-field power to place
-    the witness on failure).  Otherwise, or under ``force_direct``, each sum
-    is taken over the whole field (engine "delta_criterion", cost 2^(2n),
-    size-capped).
+    the witness on failure).  Otherwise, or under ``force_direct``, every sum
+    is read off the character spectrum of f over the whole field (engine
+    "delta_criterion", one Walsh-Hadamard transform: cost n 2^n, size-capped).
     """
     t0 = perf_counter()
     ctx = f.ctx
@@ -232,17 +258,16 @@ def is_pp_delta_criterion(
     if engine is None:
         _require_within_cap(ctx, size_cap, "delta_criterion")
 
-    # Dividing by the pivot coefficient does not change whether f permutes.
     c1, d1 = f.terms[pivot]
-    rest = [t for i, t in enumerate(f.terms) if i != pivot]
-    if c1 != 1:
-        ic = ctx.inv(c1)
-        rest = [(ctx.mul(c, ic), e) for c, e in rest]
-    coeffs = [c for c, _ in rest]
-    shifts = [(d1 - e) % ctx.mult_order for _, e in rest]
-
     verdict, witness = True, None
     if engine == "niho":
+        # Dividing by the pivot coefficient does not change whether f permutes.
+        rest = [t for i, t in enumerate(f.terms) if i != pivot]
+        if c1 != 1:
+            ic = ctx.inv(c1)
+            rest = [(ctx.mul(c, ic), e) for c, e in rest]
+        coeffs = [c for c, _ in rest]
+        shifts = [(d1 - e) % ctx.mult_order for _, e in rest]
         # delta^(d1 - d_i) = (delta^(2^m - 1))^q_i, and delta^(2^m - 1) is the
         # circle point whose index is the class of delta
         step = 2**ctx.m - 1
@@ -257,20 +282,12 @@ def is_pp_delta_criterion(
             classes = ctx.pow_vec(ctx.domain()[1:], step)
             verdict, witness = False, 1 + int(np.argmax(failing[classes]))
     else:
-        points = ctx.domain()
-        tb = ctx.trace_bits()
-        # delta^(d1 - d_i) for every delta at once, one table per non-pivot term
-        tables = [ctx.pow_vec(points, s) for s in shifts]
-        base = ctx.pow_vec(points, d1)
-        parts = [ctx.pow_vec(points, e) for _, e in rest]
-        # all deltas give the same sum for a monomial
-        for delta in range(1, ctx.order) if rest else [1]:
-            h = base.copy()
-            for c, table, part in zip(coeffs, tables, parts):
-                h ^= ctx.scalar_mul_vec(ctx.mul(c, int(table[delta])), part)
-            if int(tb[h].sum()) * 2 != ctx.order:
-                verdict, witness = False, delta
-                break
+        # x -> x/delta turns the sum at delta into the character sum of f at
+        # gamma = delta^d1 / c1, so every delta reads one spectrum
+        gammas = ctx.scalar_mul_vec(ctx.inv(c1), ctx.pow_vec(ctx.domain()[1:], d1))
+        failing = np.flatnonzero(_char_spectrum(f)[gammas])
+        if len(failing):
+            verdict, witness = False, 1 + int(failing[0])
     return VerificationReport(engine, verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 

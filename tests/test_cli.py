@@ -131,11 +131,14 @@ def test_verify_size_cap_blocks_quadratic_engine(capsys):
 
 
 def test_verify_rejects_negative_size_cap(capsys, monkeypatch):
-    # not Niho-shaped, so the default engines read the cap for the delta path
-    code, out, err = run_cli(
-        capsys, "verify", "--n", "6", "--poly", "1:5,3:11", "--size-cap", "-1"
-    )
-    assert code == 64 and out == "" and "size_cap must be >= 0" in err
+    # an explicit cap is checked whether or not the path reads it: 1:5,3:11
+    # needs the full-field path, 1:10,6:52 is Niho-shaped and stays on the circle
+    for poly in ("1:5,3:11", "1:10,6:52"):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "6", "--poly", poly, "--size-cap", "-1"
+        )
+        assert code == 64 and out == "" and "size_cap must be >= 0" in err
+    # the environment is read only when the full-field path needs it
     monkeypatch.setenv("NIHO_PERM_MAX_N", "-3")
     code, out, err = run_cli(capsys, "verify", "--n", "6", "--poly", "1:5,3:11")
     assert code == 64 and out == "" and "NIHO_PERM_MAX_N must be >= 0" in err

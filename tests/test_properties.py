@@ -1,20 +1,25 @@
-"""Property tests of the unit-circle engines on random Niho-congruent input.
+"""Property tests of the engines on random sparse input.
 
 The niho path, the direct delta path and ``brute`` must agree on every
 polynomial whose exponents are congruent mod 2^m - 1, with equal witnesses
 on failure.  ``count_unit_circle_solutions`` is checked against a scalar
-count over the circle points, which shares no code with the engines.
+count over the circle points, which shares no code with the engines.  On
+general input (exponents not all congruent), ``charsum``, the direct delta
+path and ``brute`` must agree, and a charsum witness must be the first gamma
+whose ``char_sum`` is nonzero.
 """
 
 from math import gcd
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nihoperm.gf2n import SparsePoly, field_new
 from nihoperm.spectra import (
+    char_sum,
     count_unit_circle_solutions,
     is_permutation_brute,
+    is_pp_charsum,
     is_pp_delta_criterion,
 )
 from nihoperm.unit_circle import build_unit_circle
@@ -95,3 +100,34 @@ def test_circle_count_matches_scalar_oracle(data):
     ws = [data.draw(st.one_of(st.just(0), coefficient(n))) for _ in extras]
     want = circle_count_oracle(ctx, circle, [d1] + extras, ws)
     assert count_unit_circle_solutions(ctx, [d1] + extras, ws) == want
+
+
+@st.composite
+def general_polys(draw):
+    """2-4 terms with a pivot exponent coprime to 2^n - 1 and exponents not
+    all congruent mod 2^m - 1.  Linearized polynomials (every exponent a
+    power of 2) are drawn half the time, because they often permute."""
+    n = draw(st.sampled_from(sorted(CIRCLES)))
+    ctx = CIRCLES[n].ctx
+    if draw(st.booleans(), label="linearized"):
+        pool = [2**i for i in range(n)]
+    else:
+        pool = range(1, ctx.order)
+    exps = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    step = 2**ctx.m - 1
+    assume(any(gcd(e, ctx.mult_order) == 1 for e in exps))
+    assume(any((e - exps[0]) % step for e in exps))
+    return SparsePoly.make(ctx, [(draw(coefficient(n)), e) for e in exps])
+
+
+@PROPERTY
+@given(general_polys())
+def test_charsum_direct_and_brute_agree(f):
+    charsum = is_pp_charsum(f)
+    direct = is_pp_delta_criterion(f)
+    assert direct.engine == "delta_criterion"
+    assert charsum.verdict == direct.verdict == is_permutation_brute(f).verdict
+    if not charsum.verdict:
+        gamma = charsum.witness
+        assert char_sum(f, gamma) != 0
+        assert all(char_sum(f, g) == 0 for g in range(1, gamma))

@@ -9,6 +9,7 @@ first-failure semantics.
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from nihoperm.exponents import make_niho
@@ -61,6 +62,40 @@ def char_sum_oracle(g, gamma):
     for x in range(ctx.order):
         total += -1 if ctx.trace(ctx.mul(gamma, g.eval(x))) else 1
     return total
+
+
+def charsum_loop(g):
+    """Per-gamma reference for is_pp_charsum: (verdict, first failing gamma)."""
+    ctx = g.ctx
+    values = spectra._values_over_domain(g)
+    tb = ctx.trace_bits()
+    for gamma in range(1, ctx.order):
+        if 2 * int(tb[ctx.scalar_mul_vec(gamma, values)].sum()) != ctx.order:
+            return False, gamma
+    return True, None
+
+
+def delta_direct_loop(f):
+    """Per-delta reference for the direct delta path: (verdict, first failing
+    delta), each sum that of x^d1 + sum_i (c_i / c1) delta^(d1 - d_i) x^d_i."""
+    ctx = f.ctx
+    pivot = next(i for i, (_, e) in enumerate(f.terms) if gcd(e, ctx.mult_order) == 1)
+    c1, d1 = f.terms[pivot]
+    ic = ctx.inv(c1)
+    rest = [(ctx.mul(c, ic), e) for i, (c, e) in enumerate(f.terms) if i != pivot]
+    points = ctx.domain()
+    tb = ctx.trace_bits()
+    base = ctx.pow_vec(points, d1)
+    parts = [ctx.pow_vec(points, e) for _, e in rest]
+    # all deltas give the same sum for a monomial
+    for delta in range(1, ctx.order) if rest else [1]:
+        h = base.copy()
+        for (c, e), part in zip(rest, parts):
+            w = ctx.mul(c, ctx.pow(delta, (d1 - e) % ctx.mult_order))
+            h ^= ctx.scalar_mul_vec(w, part)
+        if 2 * int(tb[h].sum()) != ctx.order:
+            return False, delta
+    return True, None
 
 
 def random_poly(ctx, rng, max_terms=3):
@@ -174,6 +209,75 @@ def test_charsum_witness_is_first_failing_gamma():
     for gamma in range(1, rep.witness):
         assert char_sum(f, gamma) == 0
     assert char_sum(f, rep.witness) != 0
+
+
+def test_char_spectrum_matches_scalar_oracle():
+    rng = random.Random(7)
+    for n in (4, 6):
+        ctx = field_new(n)
+        for f in [SparsePoly.make(ctx, [(1, 3)])] + [random_poly(ctx, rng) for _ in range(3)]:
+            spectrum = spectra._char_spectrum(f)
+            assert spectrum.tolist() == [char_sum_oracle(f, g) for g in range(ctx.order)]
+
+
+def test_char_spectrum_parseval():
+    # sum_gamma S(gamma)^2 = 2^n sum_y H[y]^2 for any g, permutation or not
+    rng = random.Random(8)
+    for n in (4, 6, 8, 10):
+        ctx = field_new(n)
+        for f in [SparsePoly.make(ctx, [])] + [random_poly(ctx, rng) for _ in range(4)]:
+            spectrum = spectra._char_spectrum(f)
+            hist = np.bincount(spectra._values_over_domain(f), minlength=ctx.order)
+            assert int((spectrum**2).sum()) == ctx.order * int((hist**2).sum())
+
+
+def reference_corpus(ctx, rng):
+    """Monomials, linearized trinomials (which often permute) and binomials
+    whose first exponent is not coprime to 2^n - 1, so that the pivot is the
+    second term; every coefficient is random, so the pivot's is rarely 1."""
+    polys = [SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), d)]) for d in (1, 3, 5, 7)]
+    for _ in range(8):
+        exps = rng.sample([2**i for i in range(ctx.n)], 3)
+        polys.append(SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), e) for e in exps]))
+    lead = [e for e in range(1, ctx.mult_order) if gcd(e, ctx.mult_order) != 1]
+    for _ in range(8):
+        e1 = rng.choice(lead)
+        e2 = rng.choice([e for e in range(e1 + 1, ctx.order) if gcd(e, ctx.mult_order) == 1])
+        polys.append(SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), e) for e in (e1, e2)]))
+    return polys
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_spectrum_engines_match_reference_loops(n):
+    ctx = field_new(n)
+    covered = set()
+    for f in reference_corpus(ctx, random.Random(n)):
+        rep = is_pp_charsum(f)
+        assert (rep.verdict, rep.witness) == charsum_loop(f), f.to_spec()
+        if not f.has_unit_pivot():
+            continue
+        rep = is_pp_delta_criterion(f, force_direct=True)
+        assert (rep.verdict, rep.witness) == delta_direct_loop(f), f.to_spec()
+        pivot = next(i for i, (_, e) in enumerate(f.terms) if gcd(e, ctx.mult_order) == 1)
+        covered |= {
+            "pp" if rep.verdict else "non-pp",
+            "monomial" if len(f.terms) == 1 else "terms",
+            "pivot not first" if pivot else "pivot first",
+            "pivot coefficient 1" if f.terms[pivot][0] == 1 else "pivot coefficient not 1",
+        }
+    assert {"pp", "non-pp", "monomial", "pivot not first", "pivot coefficient not 1"} <= covered
+
+
+def test_spectrum_engines_reach_n16():
+    ctx = field_new(16)
+    for spec, want in (("1:1,a030:2,94b3:8", True), ("10c7:3,9b0a:7", False)):
+        f = SparsePoly.from_spec(ctx, spec)
+        assert is_permutation_brute(f).verdict == want
+        charsum = is_pp_charsum(f, size_cap=16)
+        direct = is_pp_delta_criterion(f, force_direct=True, size_cap=16)
+        assert charsum.verdict == direct.verdict == want, spec
+        if not want:
+            assert char_sum(f, charsum.witness) != 0
 
 
 # -- delta-criterion engine ------------------------------------------------------

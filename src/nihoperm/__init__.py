@@ -42,11 +42,9 @@ from .gf2n import (
     field_new,
 )
 from .spectra import (
-    DEFAULT_SIZE_CAP,
     VerificationReport,
     char_sum,
     count_unit_circle_solutions,
-    effective_size_cap,
     exp_sum_via_niho,
     is_cpp,
     is_permutation_brute,

@@ -30,7 +30,6 @@ from .families import (
 from .gf2n import SUPPORTED_N, SparsePoly, field_new
 from .spectra import (
     delta_path,
-    effective_size_cap,
     is_cpp,
     is_permutation_brute,
     is_pp_charsum,
@@ -68,14 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--engines", default=None,
         help=f"comma list from {','.join(ENGINE_CHOICES)} (default: brute"
-        " plus delta when applicable)",
+        " plus delta when every target has an exponent coprime to 2^n - 1)",
     )
     p_verify.add_argument("--cpp", action="store_true",
                           help="verify complete permutation (f and f+x)")
     p_verify.add_argument("--delta-direct", action="store_true",
                           help="force the delta engine onto the full-field sum")
-    p_verify.add_argument("--size-cap", type=int, default=None,
-                          help="override the size cap of the whole-field character engines")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--timing", action="store_true",
                           help="include elapsed_ms in reports")
@@ -148,29 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _delta_applicable(poly: SparsePoly, args) -> bool:
-    """Whether the delta engine can run on poly under --delta-direct and
-    --size-cap: it needs a pivot exponent and a path that is allowed."""
-    pivot, engine = delta_path(
-        poly.ctx, poly.exponents(), force_direct=args.delta_direct, size_cap=args.size_cap
-    )
-    return pivot is not None and engine is not None
-
-
 def _run_engine(name: str, poly: SparsePoly, args):
     if name == "brute":
         return is_permutation_brute(poly)
     if name == "charsum":
-        return is_pp_charsum(poly, size_cap=args.size_cap)
-    return is_pp_delta_criterion(
-        poly, force_direct=args.delta_direct, size_cap=args.size_cap
-    )
+        return is_pp_charsum(poly)
+    return is_pp_delta_criterion(poly, force_direct=args.delta_direct)
 
 
 def cmd_verify(args) -> int:
-    if args.size_cap is not None:
-        # checked here because the circle path never reads the cap
-        effective_size_cap(args.size_cap)
     ctx = field_new(args.n)
     poly = SparsePoly.from_spec(ctx, args.poly)
     targets = [("f", poly)]
@@ -183,7 +166,8 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"unknown engine {e!r}: pick from {ENGINE_CHOICES}")
     else:
         engines = ["brute"]
-        if all(_delta_applicable(t, args) for _, t in targets):
+        # the delta engine needs a pivot exponent in every target
+        if all(delta_path(ctx, t.exponents())[0] is not None for _, t in targets):
             engines.append("delta")
 
     results = []

@@ -125,7 +125,10 @@ def _coset_family(family_id: str, claim: str, p: NihoParams, r: int,
 
     A PP claim gets the binomial x^d1 + u*x^d2, a CPP claim the monomial
     u^(-1)*x^d1.  ``ctx`` and ``circle`` default to p's field and its circle
-    (callers pass them to share tables across many tuples) and must be those.
+    and must be those.  The generators keep them as optional positional
+    parameters: ``scan_families`` passes one field and circle per m so that
+    every tuple shares their tables, and the benchmark workloads in
+    ``perfbench/workloads.py`` pass them positionally.
     """
     ctx = _field(p.n, ctx)
     if circle is None:

@@ -28,14 +28,12 @@ rule that decides which delta path applies.
 charsum and the direct delta path both read every character sum off one
 spectrum, ``_char_spectrum``: a Walsh-Hadamard transform of the image
 histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
-O(2^n) sum for one gamma, independent of the spectrum.  Both whole-field
-character engines refuse fields above a size cap: 12 by default,
-overridable per call or via the NIHO_PERM_MAX_N environment variable.
+O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
+every supported n.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd
 from time import perf_counter
@@ -47,13 +45,11 @@ from .gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
 from .unit_circle import UnitCircle, build_unit_circle
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
     "SparsePoly",
     "VerificationReport",
     "char_sum",
     "count_unit_circle_solutions",
     "delta_path",
-    "effective_size_cap",
     "exp_sum_via_niho",
     "is_cpp",
     "is_permutation_brute",
@@ -61,38 +57,6 @@ __all__ = [
     "is_pp_delta_criterion",
     "unique_solution_check",
 ]
-
-DEFAULT_SIZE_CAP = 12
-
-
-def effective_size_cap(explicit=None) -> int:
-    """Largest n the whole-field character engines accept: explicit arg,
-    else the NIHO_PERM_MAX_N environment variable, else 12.  A cap of 0
-    admits no n."""
-    if explicit is not None:
-        if explicit < 0:
-            raise ValueError(f"size_cap must be >= 0, got {explicit}")
-        return explicit
-    env = os.environ.get("NIHO_PERM_MAX_N")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"NIHO_PERM_MAX_N must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"NIHO_PERM_MAX_N must be >= 0, got {env!r}")
-        return cap
-    return DEFAULT_SIZE_CAP
-
-
-def _require_within_cap(ctx: FieldCtx, size_cap, engine: str) -> None:
-    cap = effective_size_cap(size_cap)
-    if ctx.n > cap:
-        raise ValueError(
-            f"{engine} engine reads the whole-field character spectrum; n={ctx.n} exceeds the "
-            f"size cap {cap} (pass size_cap or set NIHO_PERM_MAX_N to override)"
-        )
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -202,10 +166,9 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
     return spectrum[form(ctx.domain())]
 
 
-def is_pp_charsum(g: SparsePoly, *, size_cap=None) -> VerificationReport:
+def is_pp_charsum(g: SparsePoly) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
     ctx = g.ctx
-    _require_within_cap(ctx, size_cap, "charsum")
     t0 = perf_counter()
     failing = np.flatnonzero(_char_spectrum(g)[1:])
     verdict = len(failing) == 0
@@ -213,15 +176,13 @@ def is_pp_charsum(g: SparsePoly, *, size_cap=None) -> VerificationReport:
     return VerificationReport("charsum", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 
-def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False, size_cap=None):
+def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False):
     """Pivot and path of the delta criterion for these exponents of GF(2^n).
 
     Returns (pivot, engine).  ``pivot`` is the index of the first exponent
     coprime to 2^n - 1, or None when there is none.  ``engine`` is "niho" (the
     unit-circle path) when every exponent is congruent mod 2^m - 1 and
-    ``force_direct`` is off; otherwise "delta_criterion" (the full-field path)
-    when there is a pivot and n is within the size cap; otherwise None.  The
-    size cap is read only when the full-field path is the one needed.
+    ``force_direct`` is off, otherwise "delta_criterion" (the full-field path).
     """
     pivot = next(
         (i for i, e in enumerate(exponents) if gcd(e, ctx.mult_order) == 1), None
@@ -229,14 +190,10 @@ def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False, size_cap
     step = 2**ctx.m - 1
     if not force_direct and all((e - exponents[0]) % step == 0 for e in exponents):
         return pivot, "niho"
-    if pivot is not None and ctx.n <= effective_size_cap(size_cap):
-        return pivot, "delta_criterion"
-    return pivot, None
+    return pivot, "delta_criterion"
 
 
-def is_pp_delta_criterion(
-    f: SparsePoly, *, force_direct: bool = False, size_cap=None
-) -> VerificationReport:
+def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> VerificationReport:
     """Delta-criterion permutation test; witness is the first delta that fails.
 
     The path is :func:`delta_path`'s.  When every exponent is congruent to the
@@ -245,18 +202,16 @@ def is_pp_delta_criterion(
     "niho", about (2^m + 1)^2 array work, plus one whole-field power to place
     the witness on failure).  Otherwise, or under ``force_direct``, every sum
     is read off the character spectrum of f over the whole field (engine
-    "delta_criterion", one Walsh-Hadamard transform: cost n 2^n, size-capped).
+    "delta_criterion", one Walsh-Hadamard transform: cost n 2^n).
     """
     t0 = perf_counter()
     ctx = f.ctx
-    pivot, engine = delta_path(ctx, f.exponents(), force_direct=force_direct, size_cap=size_cap)
+    pivot, engine = delta_path(ctx, f.exponents(), force_direct=force_direct)
     if pivot is None:
         raise ValueError(
             "delta criterion needs a term with exponent coprime to 2^n - 1; "
             f"none found in {f.to_spec()!r}"
         )
-    if engine is None:
-        _require_within_cap(ctx, size_cap, "delta_criterion")
 
     c1, d1 = f.terms[pivot]
     verdict, witness = True, None
@@ -321,8 +276,7 @@ def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
             f"for {len(d_list) - 1}"
         )
     ds = [canonical_exponent(d, ctx.n) for d in d_list]
-    # size_cap=0 rules out the full-field path: only the circle shape passes
-    pivot, engine = delta_path(ctx, ds, size_cap=0)
+    pivot, engine = delta_path(ctx, ds)
     if engine != "niho":
         raise ValueError(f"exponents {ds} are not all congruent mod 2^m - 1 = {2**ctx.m - 1}")
     if pivot != 0:

@@ -6,6 +6,8 @@ can be asserted exactly; one subprocess test covers the installed entry point.
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,7 +20,8 @@ from nihoperm.gf2n import field_new
 from nihoperm.spectra import VerificationReport
 from nihoperm.unit_circle import build_unit_circle, complement_coset
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -122,31 +125,26 @@ def test_verify_usage_errors(capsys):
     assert ei.value.code == 64
 
 
-def test_verify_size_cap_blocks_quadratic_engine(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--n", "8", "--poly", "1:9,3:2",
-        "--engines", "charsum", "--size-cap", "6",
-    )
-    assert code == 64 and "size cap" in err
-
-
-def test_verify_rejects_negative_size_cap(capsys, monkeypatch):
-    # an explicit cap is checked whether or not the path reads it: 1:5,3:11
-    # needs the full-field path, 1:10,6:52 is Niho-shaped and stays on the circle
-    for poly in ("1:5,3:11", "1:10,6:52"):
-        code, out, err = run_cli(
-            capsys, "verify", "--n", "6", "--poly", poly, "--size-cap", "-1"
-        )
-        assert code == 64 and out == "" and "size_cap must be >= 0" in err
-    # the environment is read only when the full-field path needs it
+def test_verify_ignores_niho_perm_max_n(capsys, monkeypatch):
+    # 1:5,3:11 takes the full-field delta path
+    argv = ("verify", "--n", "6", "--poly", "1:5,3:11")
+    want = run_cli(capsys, *argv)
+    assert want[0] == 1 and "engine=delta_criterion" in want[1]
     monkeypatch.setenv("NIHO_PERM_MAX_N", "-3")
-    code, out, err = run_cli(capsys, "verify", "--n", "6", "--poly", "1:5,3:11")
-    assert code == 64 and out == "" and "NIHO_PERM_MAX_N must be >= 0" in err
+    assert run_cli(capsys, *argv) == want
+
+
+def test_verify_rejects_removed_cap_option(capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["verify", "--n", "6", "--poly", "1:5,3:11", "--size-cap", "6"])
+    out, err = capsys.readouterr()
+    assert ei.value.code == 64 and out == ""
+    assert "unrecognized arguments: --size-cap 6" in err
 
 
 def test_verify_default_engines_follow_delta_direct(capsys):
-    # Niho-shaped at n = 14: the circle path applies, the full-field path is
-    # above the default size cap of 12
+    # Niho-shaped at n = 14: the default delta engine takes the circle path,
+    # and the full-field path under --delta-direct
     poly = "1:130,3e8a:16132"
     code, out, _ = run_cli(capsys, "verify", "--n", "14", "--poly", poly)
     assert code == 0 and "engine=niho target=f verdict=true" in out
@@ -155,12 +153,33 @@ def test_verify_default_engines_follow_delta_direct(capsys):
     )
     assert code == 0, err
     assert [l for l in out.splitlines() if l.startswith("engine=")] == [
-        "engine=brute target=f verdict=true"
+        "engine=brute target=f verdict=true",
+        "engine=delta_criterion target=f verdict=true",
     ]
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--n", "14", "--poly", poly, "--engines", "delta", "--delta-direct"
     )
-    assert code == 64 and "n=14 exceeds the size cap 12" in err
+    assert code == 0, err
+    assert "engine=delta_criterion target=f verdict=true" in out
+
+
+def test_verify_n20_default_and_all_engines(capsys):
+    # x^4 + alpha*x, not Niho-shaped: the default adds the full-field delta path
+    code, out, _ = run_cli(capsys, "verify", "--n", "20", "--poly", "2:1,1:4")
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("engine=")] == [
+        "engine=brute target=f verdict=true",
+        "engine=delta_criterion target=f verdict=true",
+    ]
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "20", "--poly", "1:1,1:3",
+        "--engines", "brute,charsum,delta", "--delta-direct", "--format", "json",
+    )
+    obj = json.loads(out)
+    assert code == 1 and obj["verdict"] is False and obj["engines_agree"] is True
+    assert [r["report"]["engine"] for r in obj["results"]] == [
+        "brute", "charsum", "delta_criterion"
+    ]
 
 
 def test_verify_engine_disagreement_exit_code(capsys, monkeypatch):
@@ -336,6 +355,18 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as ei:
         cli.main(["--help"])
     assert ei.value.code == 0
+
+
+def test_readme_cli_block_runs(capsys):
+    """Every command of the ```sh block under ## CLI in README.md exits 0."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text.split("\n## CLI\n", 1)[1], re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 10
+    for argv in lines:
+        assert argv[0] == "nihoperm", argv
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_installed_entry_point_runs(monkeypatch):

@@ -6,7 +6,10 @@ on failure.  ``count_unit_circle_solutions`` is checked against a scalar
 count over the circle points, which shares no code with the engines.  On
 general input (exponents not all congruent), ``charsum``, the direct delta
 path and ``brute`` must agree, and a charsum witness must be the first gamma
-whose ``char_sum`` is nonzero.
+whose ``char_sum`` is nonzero.  Every failing witness is also checked on its
+own terms: a ``brute`` pair collides under ``SparsePoly.eval``, and a delta
+gives a delta polynomial, built here from its definition, with a nonzero
+``char_sum`` (on the niho path, also a circle count other than 1).
 """
 
 from math import gcd
@@ -70,14 +73,47 @@ def niho_polys(draw):
     return SparsePoly.make(CIRCLES[n].ctx, terms)
 
 
+def assert_collision(f, witness):
+    x1, x2 = witness
+    assert x1 < x2 and f.eval(x1) == f.eval(x2)
+
+
+def delta_poly(f, delta):
+    """x^d1 + sum_i (c_i / c1) delta^(d1 - d_i) x^d_i, with c1 x^d1 the first
+    term whose exponent is coprime to 2^n - 1.  Its character sum at 1 is
+    the delta-criterion sum of f at delta."""
+    ctx = f.ctx
+    pivot = next(i for i, (_, e) in enumerate(f.terms) if gcd(e, ctx.mult_order) == 1)
+    c1, d1 = f.terms[pivot]
+    ic1 = ctx.inv(c1)
+    rest = [
+        (ctx.mul(ctx.mul(c, ic1), ctx.pow(delta, (d1 - d) % ctx.mult_order)), d)
+        for i, (c, d) in enumerate(f.terms) if i != pivot
+    ]
+    return d1, rest, SparsePoly.make(ctx, [(1, d1)] + rest)
+
+
+def assert_failing_delta(f, delta, circle=False):
+    d1, rest, g = delta_poly(f, delta)
+    assert char_sum(g, 1) != 0
+    if circle:
+        ds, ws = [d1] + [d for _, d in rest], [w for w, _ in rest]
+        assert count_unit_circle_solutions(f.ctx, ds, ws) != 1
+
+
 @PROPERTY
 @given(niho_polys())
 def test_niho_direct_and_brute_agree(f):
     niho = is_pp_delta_criterion(f)
     direct = is_pp_delta_criterion(f, force_direct=True)
+    brute = is_permutation_brute(f)
     assert niho.engine == "niho" and direct.engine == "delta_criterion"
-    assert niho.verdict == direct.verdict == is_permutation_brute(f).verdict
+    assert niho.verdict == direct.verdict == brute.verdict
     assert niho.witness == direct.witness
+    if not brute.verdict:
+        assert_collision(f, brute.witness)
+        assert_failing_delta(f, niho.witness, circle=True)
+        assert_failing_delta(f, direct.witness)
 
 
 def circle_count_oracle(ctx, circle, d_list, w_list):
@@ -125,9 +161,12 @@ def general_polys(draw):
 def test_charsum_direct_and_brute_agree(f):
     charsum = is_pp_charsum(f)
     direct = is_pp_delta_criterion(f)
+    brute = is_permutation_brute(f)
     assert direct.engine == "delta_criterion"
-    assert charsum.verdict == direct.verdict == is_permutation_brute(f).verdict
+    assert charsum.verdict == direct.verdict == brute.verdict
     if not charsum.verdict:
+        assert_collision(f, brute.witness)
+        assert_failing_delta(f, direct.witness)
         gamma = charsum.witness
         assert char_sum(f, gamma) != 0
         assert all(char_sum(f, g) == 0 for g in range(1, gamma))

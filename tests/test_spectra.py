@@ -15,12 +15,10 @@ import pytest
 from nihoperm.exponents import make_niho
 from nihoperm.gf2n import SparsePoly, canonical_exponent, field_new
 from nihoperm.spectra import (
-    DEFAULT_SIZE_CAP,
     VerificationReport,
     char_sum,
     count_unit_circle_solutions,
     delta_path,
-    effective_size_cap,
     exp_sum_via_niho,
     is_cpp,
     is_permutation_brute,
@@ -268,14 +266,16 @@ def test_spectrum_engines_match_reference_loops(n):
     assert {"pp", "non-pp", "monomial", "pivot not first", "pivot coefficient not 1"} <= covered
 
 
-def test_spectrum_engines_reach_n16():
-    ctx = field_new(16)
-    for spec, want in (("1:1,a030:2,94b3:8", True), ("10c7:3,9b0a:7", False)):
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_spectrum_engines_agree_with_brute_at_large_n(n):
+    ctx = field_new(n)
+    # x^4 + alpha*x permutes (alpha is not a cube); x^3 + x sends 0 and 1 to 0
+    for spec, want in ((f"{ctx.primitive:x}:1,1:4", True), ("1:1,1:3", False)):
         f = SparsePoly.from_spec(ctx, spec)
-        assert is_permutation_brute(f).verdict == want
-        charsum = is_pp_charsum(f, size_cap=16)
-        direct = is_pp_delta_criterion(f, force_direct=True, size_cap=16)
-        assert charsum.verdict == direct.verdict == want, spec
+        charsum = is_pp_charsum(f)
+        direct = is_pp_delta_criterion(f, force_direct=True)
+        assert direct.engine == "delta_criterion"
+        assert is_permutation_brute(f).verdict == charsum.verdict == direct.verdict == want
         if not want:
             assert char_sum(f, charsum.witness) != 0
 
@@ -383,63 +383,17 @@ def test_delta_on_known_permutation_trinomials(ctx6):
         assert is_permutation_brute(f).verdict
 
 
-def test_delta_path_pivot_and_engine(ctx6, monkeypatch):
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "not a number")  # read only off the circle
+def test_delta_path_pivot_and_engine(ctx6):
     assert delta_path(ctx6, (10, 52)) == (0, "niho")
     assert delta_path(ctx6, (3, 10)) == (1, "niho")  # 10 - 3 = 7 = 2^m - 1
     assert delta_path(ctx6, (7, 14)) == (None, "niho")
-    assert delta_path(ctx6, (7, 9)) == (None, None)
-    with pytest.raises(ValueError, match="NIHO_PERM_MAX_N"):
-        delta_path(ctx6, (10, 52), force_direct=True)
-    monkeypatch.delenv("NIHO_PERM_MAX_N")
+    assert delta_path(ctx6, (7, 9)) == (None, "delta_criterion")
     assert delta_path(ctx6, (10, 52), force_direct=True) == (0, "delta_criterion")
     assert delta_path(ctx6, (2, 10)) == (0, "delta_criterion")
-    assert delta_path(ctx6, (2, 10), size_cap=4) == (0, None)
-    assert delta_path(field_new(14), (130, 16132), force_direct=True) == (0, None)
+    assert delta_path(field_new(14), (130, 16132), force_direct=True) == (0, "delta_criterion")
 
 
-# -- size cap ---------------------------------------------------------------------
-
-
-def test_effective_size_cap(monkeypatch):
-    monkeypatch.delenv("NIHO_PERM_MAX_N", raising=False)
-    assert DEFAULT_SIZE_CAP == 12
-    assert effective_size_cap() == 12
-    assert effective_size_cap(7) == 7
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "9")
-    assert effective_size_cap() == 9
-    assert effective_size_cap(15) == 15  # explicit beats the environment
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "")
-    assert effective_size_cap() == 12
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "many")
-    with pytest.raises(ValueError, match="integer"):
-        effective_size_cap()
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "-3")
-    with pytest.raises(ValueError, match="NIHO_PERM_MAX_N must be >= 0"):
-        effective_size_cap()
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "0")
-    assert effective_size_cap() == 0  # legal: admits no n
-    assert effective_size_cap(0) == 0
-    with pytest.raises(ValueError, match="size_cap must be >= 0"):
-        effective_size_cap(-1)
-
-
-def test_size_cap_blocks_quadratic_engines(monkeypatch):
-    ctx = field_new(8)
-    f = SparsePoly.make(ctx, [(1, 9), (3, 2)])
-    with pytest.raises(ValueError, match="size cap"):
-        is_pp_charsum(f, size_cap=6)
-    with pytest.raises(ValueError, match="size cap"):
-        is_pp_delta_criterion(f, force_direct=True, size_cap=6)
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "6")
-    with pytest.raises(ValueError, match="size cap"):
-        is_pp_charsum(f)
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "8")
-    assert is_pp_charsum(f).verdict in (True, False)
-
-
-def test_circle_paths_ignore_size_cap(monkeypatch):
-    monkeypatch.setenv("NIHO_PERM_MAX_N", "6")
+def test_circle_paths_run_above_n12():
     ctx = field_new(14)
     rep = is_pp_delta_criterion(SparsePoly.make(ctx, [(1, 5)]))
     assert rep.engine == "niho" and rep.verdict

@@ -1,13 +1,15 @@
 """Binomial permutation polynomials over GF(2^n) with Niho-type exponents.
 
 Construction of the x^d1 + u*x^d2 families (and the monomial complete
-permutations they induce), plus three independent verification engines:
-brute-force bijection testing, additive character sums, and the
-unit-circle reduction that makes Niho exponents tractable.
+permutations they induce), plus verification engines: brute-force bijection
+testing, additive character sums, the delta criterion, and the unit-circle
+reduction that makes Niho exponents tractable.
 """
 
 from .exponents import (
     NihoParams,
+    Theorem1Conditions,
+    check_theorem1,
     gcd_mersenne_like,
     gcd_p_2k1_guaranteed_one,
     make_niho,
@@ -17,9 +19,7 @@ from .families import (
     CPP,
     PP,
     FamilyInstance,
-    Theorem1Conditions,
     check_prop3,
-    check_theorem1,
     conjecture_trinomials,
     cpp_class_params,
     gen_conjecture,

@@ -24,13 +24,12 @@ from .families import (
     scan_families,
     scan_to_csv,
     scan_to_jsonl,
-    CPP,
+    verify_claim,
     FAMILY_GROUPS,
 )
 from .gf2n import SUPPORTED_N, SparsePoly, field_new
 from .spectra import (
     delta_path,
-    is_cpp,
     is_permutation_brute,
     is_pp_charsum,
     is_pp_delta_criterion,
@@ -153,6 +152,17 @@ def _run_engine(name: str, poly: SparsePoly, args):
     return is_pp_delta_criterion(poly, force_direct=args.delta_direct)
 
 
+def _report_tail(rep, key: str, timing: bool) -> str:
+    """The text-format end of a report line: ' <key>=true|false', then the
+    witness on failure and elapsed_ms under --timing."""
+    tail = f" {key}={str(rep.verdict).lower()}"
+    if rep.witness is not None:
+        tail += f" witness={rep.witness_hex()}"
+    if timing:
+        tail += f" elapsed_ms={rep.elapsed * 1000:.3f}"
+    return tail
+
+
 def cmd_verify(args) -> int:
     ctx = field_new(args.n)
     poly = SparsePoly.from_spec(ctx, args.poly)
@@ -199,12 +209,7 @@ def cmd_verify(args) -> int:
     else:
         print(f"n={ctx.n} poly={poly.to_spec()} claim={claim}")
         for label, rep in results:
-            line = f"engine={rep.engine} target={label} verdict={str(rep.verdict).lower()}"
-            if rep.witness is not None:
-                line += f" witness={rep.witness_hex()}"
-            if args.timing:
-                line += f" elapsed_ms={rep.elapsed * 1000:.3f}"
-            print(line)
+            print(f"engine={rep.engine} target={label}" + _report_tail(rep, "verdict", args.timing))
         status = "verified" if verdict else "FAILED"
         if not agree:
             status = "ENGINE DISAGREEMENT"
@@ -231,12 +236,8 @@ def _generate_instances(args):
 
 
 def cmd_generate(args) -> int:
-    records = []
-    for inst in _generate_instances(args):
-        rep = None
-        if args.check:
-            rep = is_cpp(inst.poly) if CPP in inst.claims else is_permutation_brute(inst.poly)
-        records.append((inst, rep))
+    records = [(inst, verify_claim(inst) if args.check else None)
+               for inst in _generate_instances(args)]
     failures = sum(1 for _, rep in records if rep is not None and not rep.verdict)
 
     if args.format == "csv":
@@ -253,9 +254,7 @@ def cmd_generate(args) -> int:
             if inst.u is not None:
                 line += f" u=0x{inst.u:x}"
             if rep is not None:
-                line += f" verified={str(rep.verdict).lower()}"
-                if rep.witness is not None:
-                    line += f" witness={rep.witness_hex()}"
+                line += _report_tail(rep, "verified", args.timing)
             print(line)
         if args.check:
             print(f"instances={len(records)} failures={failures}")
@@ -299,26 +298,18 @@ def cmd_conjecture(args) -> int:
             raise ValueError(
                 f"m={m} gives n={2 * m}, outside the supported field degrees 4..20"
             )
-    rows = []
-    for m in ms:
-        for inst in gen_conjecture(m):
-            rep = is_permutation_brute(inst.poly)
-            rows.append((m, inst, rep))
-    all_pp = all(rep.verdict for _, _, rep in rows)
+    records = [(inst, verify_claim(inst)) for m in ms for inst in gen_conjecture(m)]
+    all_pp = all(rep.verdict for _, rep in records)
 
     if args.format == "json":
-        objs = [instance_to_obj(inst, rep, args.timing) for _, inst, rep in rows]
+        objs = [instance_to_obj(inst, rep, args.timing) for inst, rep in records]
         print(json.dumps({"results": objs, "all_pp": all_pp}, indent=2))
     else:
-        for m, inst, rep in rows:
+        for inst, rep in records:
             name = "f" if inst.family_id == "CONJ_F" else "g"
             exps = ",".join(str(e) for e in inst.poly.exponents())
-            line = f"m={m} n={2 * m} {name} exponents={exps} verdict={str(rep.verdict).lower()}"
-            if rep.witness is not None:
-                line += f" witness={rep.witness_hex()}"
-            if args.timing:
-                line += f" elapsed_ms={rep.elapsed * 1000:.3f}"
-            print(line)
+            print(f"m={inst.m} n={2 * inst.m} {name} exponents={exps}"
+                  + _report_tail(rep, "verdict", args.timing))
         print(f"all_pp={str(all_pp).lower()}")
     return EXIT_OK if all_pp else EXIT_CLAIM_FAILED
 

@@ -1,10 +1,16 @@
-"""Niho-type exponent pairs over GF(2^(2m)) and the gcd facts they rely on.
+"""Niho-type exponent pairs over GF(2^(2m)), Theorem 1's conditions on them,
+and the gcd facts they rely on.
 
 The exponents of interest are congruent to a power of 2 modulo 2^m - 1; after
 multiplying by that power's inverse they take the shape d = s*(2^m - 1) + e.
 The binomials studied here pair d1 = s*(2^m - 1) + e with
 d2 = (s - l)*(2^m - 1) + e, so both exponents restrict to x^e on the subfield
 GF(2^m) and differ by l*(2^m - 1).
+
+`check_theorem1` is the one statement of Theorem 1's three sufficient
+conditions on such a pair: gcd(d1, 2^n - 1) = 1, r = gcd(l, 2^m + 1) > 1 and
+gcd(e + l - 2s, 2^m + 1) = 1.  The family generators and the unit-circle
+engine both ask it, through `_require_theorem1`, and so fail with one message.
 
 `gcd_mersenne_like` gives gcd(2^r +- 1, 2^s +- 1) in closed form and
 `gcd_p_2k1_guaranteed_one` decides, from the multiplicative order of 2 modulo
@@ -52,6 +58,55 @@ def make_niho(m: int, s: int, l: int, e: int) -> NihoParams:
     # gcd(d1, 2^n - 1) splits across the coprime factors 2^m - 1 and 2^m + 1.
     gcd_d1_one = gcd(e, 2**m - 1) == 1 and gcd(e - 2 * s, 2**m + 1) == 1
     return NihoParams(m=m, s=s, l=l, e=e, n=n, d1=d1, d2=d2, gcd_d1_one=gcd_d1_one)
+
+
+@dataclass(frozen=True)
+class Theorem1Conditions:
+    """The three sufficient conditions for x^d1 + u*x^d2 to permute."""
+
+    gcd_d1_ok: bool
+    r: int
+    r_ok: bool
+    cond_ii_ok: bool
+    eligible_u_count: int
+
+    @property
+    def all_ok(self) -> bool:
+        return self.gcd_d1_ok and self.r_ok and self.cond_ii_ok
+
+
+def check_theorem1(p: NihoParams) -> Theorem1Conditions:
+    """Evaluate gcd(d1, 2^n - 1) = 1, r = gcd(l, 2^m + 1) > 1, and
+    gcd(e + l - 2s, 2^m + 1) = 1 for an exponent pair."""
+    m_ord = 2**p.m + 1
+    r = gcd(p.l, m_ord)
+    cond_ii = gcd(p.e + p.l - 2 * p.s, m_ord) == 1
+    return Theorem1Conditions(
+        gcd_d1_ok=p.gcd_d1_one,
+        r=r,
+        r_ok=r > 1,
+        cond_ii_ok=cond_ii,
+        eligible_u_count=m_ord - m_ord // r,
+    )
+
+
+def _require_theorem1(p: NihoParams, prop3: bool = False) -> int:
+    """r = gcd(l, 2^m + 1) for a pair meeting all three conditions; otherwise
+    a ValueError naming the first that fails (in prop-3 terms if asked)."""
+    cond = check_theorem1(p)
+    if cond.all_ok:
+        return cond.r
+    if not cond.gcd_d1_ok:
+        msg = f"gcd(d1,2^n-1)=1 failed (d1={p.d1}, n={p.n})"
+    elif not cond.r_ok and prop3:
+        msg = f"condition (i) r:=gcd(s,2^m+1)>1 failed (s={p.s}, r={cond.r})"
+    elif not cond.r_ok:
+        msg = f"condition (i) r:=gcd(l,2^m+1)>1 failed (l={p.l}, r={cond.r})"
+    elif prop3:
+        msg = f"condition (ii) gcd(s-1,2^m+1)=1 failed (s={p.s})"
+    else:
+        msg = f"condition (ii) gcd(e+l-2s,2^m+1)=1 failed (e={p.e}, l={p.l}, s={p.s})"
+    raise ValueError(msg)
 
 
 def gcd_mersenne_like(r: int, sign_r: int, s: int, sign_s: int) -> int:

@@ -1,12 +1,12 @@
 """Constructive families of permutation binomials and monomial CPPs.
 
-Each generator turns a validated parameter tuple into concrete polynomial
-instances over GF(2^n), n = 2m:
+Every family is a special case of Theorem 1, whose conditions live in
+``exponents.check_theorem1``.  Each generator turns a validated parameter
+tuple into concrete polynomial instances over GF(2^n), n = 2m:
 
 * theorem-1 binomials   x^d1 + u*x^d2 with d1 = s*(2^m-1)+e,
-  d2 = (s-l)*(2^m-1)+e, gcd(d1, 2^n-1) = 1, r = gcd(l, 2^m+1) > 1,
-  gcd(e+l-2s, 2^m+1) = 1, and u ranging over the non-r-th-powers of the
-  unit circle;
+  d2 = (s-l)*(2^m-1)+e, and u ranging over the non-r-th-powers of the
+  unit circle (``gen_theorem1``);
 * six explicit parameter cases (``prop1_params``) hitting those conditions
   with r = 3, driven by powers of two k1, k2, k3;
 * the l = s, e = 1 specialization (``check_prop3``/``gen_prop3``) whose
@@ -16,10 +16,12 @@ instances over GF(2^n), n = 2m:
 * two trinomial shapes conjectured to permute for every odd m
   (``conjecture_trinomials``).
 
-``scan_families`` sweeps parameter ranges, generates every instance, verifies
-each claim by brute force, and reports (instance, report) pairs; identical
-polynomials arising from different parameter tuples are verified once but
-reported once per provenance.
+``scan_families`` is one path from a parameter tuple to a record: one sweep
+lists every group's generator arguments, one loop generates the instances,
+``verify_claim`` checks each distinct polynomial once per field, and
+``instance_to_obj`` is the one record that the CSV and JSONL writers print.
+Identical polynomials arising from different parameter tuples are verified
+once but reported once per provenance.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exponents import NihoParams, make_niho
+from .exponents import (
+    NihoParams,
+    Theorem1Conditions,
+    _require_theorem1,
+    check_theorem1,
+    make_niho,
+)
 from .gf2n import FieldCtx, SparsePoly, field_new
 from .spectra import VerificationReport, is_cpp, is_permutation_brute
 from .unit_circle import UnitCircle, build_unit_circle, complement_coset
@@ -42,21 +50,6 @@ PP = "PP"
 CPP = "CPP"
 
 FAMILY_GROUPS = ("thm1", "prop1", "prop3", "cor2", "cpp-class", "conj")
-
-
-@dataclass(frozen=True)
-class Theorem1Conditions:
-    """The three sufficient conditions for x^d1 + u*x^d2 to permute."""
-
-    gcd_d1_ok: bool
-    r: int
-    r_ok: bool
-    cond_ii_ok: bool
-    eligible_u_count: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.gcd_d1_ok and self.r_ok and self.cond_ii_ok
 
 
 @dataclass(frozen=True)
@@ -72,40 +65,6 @@ class FamilyInstance:
     k1: int = None
     k2: int = None
     k3: int = None
-
-
-def check_theorem1(p: NihoParams) -> Theorem1Conditions:
-    """Evaluate gcd(d1, 2^n - 1) = 1, r = gcd(l, 2^m + 1) > 1, and
-    gcd(e + l - 2s, 2^m + 1) = 1 for an exponent pair."""
-    m_ord = 2**p.m + 1
-    r = gcd(p.l, m_ord)
-    cond_ii = gcd(p.e + p.l - 2 * p.s, m_ord) == 1
-    return Theorem1Conditions(
-        gcd_d1_ok=p.gcd_d1_one,
-        r=r,
-        r_ok=r > 1,
-        cond_ii_ok=cond_ii,
-        eligible_u_count=m_ord - m_ord // r,
-    )
-
-
-def _require_theorem1(p: NihoParams, prop3: bool = False) -> int:
-    """r = gcd(l, 2^m + 1) for a pair meeting all three conditions; otherwise
-    a ValueError naming the first that fails (in prop-3 terms if asked)."""
-    cond = check_theorem1(p)
-    if cond.all_ok:
-        return cond.r
-    if not cond.gcd_d1_ok:
-        msg = f"gcd(d1,2^n-1)=1 failed (d1={p.d1}, n={p.n})"
-    elif not cond.r_ok and prop3:
-        msg = f"condition (i) r:=gcd(s,2^m+1)>1 failed (s={p.s}, r={cond.r})"
-    elif not cond.r_ok:
-        msg = f"condition (i) r:=gcd(l,2^m+1)>1 failed (l={p.l}, r={cond.r})"
-    elif prop3:
-        msg = f"condition (ii) gcd(s-1,2^m+1)=1 failed (s={p.s})"
-    else:
-        msg = f"condition (ii) gcd(e+l-2s,2^m+1)=1 failed (e={p.e}, l={p.l}, s={p.s})"
-    raise ValueError(msg)
 
 
 def _field(n: int, ctx: FieldCtx = None) -> FieldCtx:
@@ -244,7 +203,7 @@ def gen_cpp_cor2(m: int, s: int, ctx: FieldCtx = None, circle: UnitCircle = None
 def cpp_class_params(cls: int, m: int, k: int = None) -> tuple:
     """(s, r) for the six closed-form CPP classes; u must avoid U^r.
 
-      1: s = 2^k + 1, m and k odd, r = 2^gcd(m,k) + 1
+      1: s = 2^k + 1, m and k odd (k >= 0), r = 2^gcd(m,k) + 1
       2: s = 2^k + 1, m and k even with k/gcd and m/gcd odd, r likewise
       3: s = 6, m odd with 5 not dividing m, r = 3
       4: s = 15, m odd, r = 3
@@ -253,16 +212,17 @@ def cpp_class_params(cls: int, m: int, k: int = None) -> tuple:
     """
     if cls not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"class must be 1..6, got {cls}")
-    if cls == 1:
+    if cls in (1, 2):
         if k is None:
-            raise ValueError("class 1 requires k")
+            raise ValueError(f"class {cls} requires k")
+        if k < 0:
+            raise ValueError(f"class {cls} requires k >= 0, got k={k}")
+    if cls == 1:
         if m % 2 == 0 or k % 2 == 0:
             raise ValueError(f"class 1 requires odd m and k, got m={m}, k={k}")
         t = gcd(m, k)
         s, r = 2**k + 1, 2**t + 1
     elif cls == 2:
-        if k is None:
-            raise ValueError("class 2 requires k")
         if m % 2 == 1 or k % 2 == 1 or k < 2:
             raise ValueError(f"class 2 requires even m and even k >= 2, got m={m}, k={k}")
         t = gcd(m, k)
@@ -317,55 +277,38 @@ def gen_conjecture(m: int, ctx: FieldCtx = None) -> list:
 # -- parameter sweeps ------------------------------------------------------
 
 
-def _thm1_sweep(m, s_range, l_range, e_range):
+def _accepted(params_fn, candidates) -> list:
+    """The argument tuples, in order, that ``params_fn`` takes without a ValueError."""
     out = []
-    for s in range(s_range[0], s_range[1] + 1):
-        for l in range(l_range[0], l_range[1] + 1):
-            for e in range(max(e_range[0], 1), e_range[1] + 1):
-                p = make_niho(m, s, l, e)
-                if check_theorem1(p).all_ok:
-                    out.append(p)
-    return out
-
-
-def _prop1_sweep(m, k_max):
-    out = []
-    ks = range(k_max + 1)
-    for case in (1, 2):
-        for k1, k2, k3 in product(ks, repeat=3):
-            try:
-                out.append((case, k1, k2, k3, prop1_params(case, m, k1, k2, k3)))
-            except ValueError:
-                continue
-    for case in (3, 4, 5, 6):
-        for k1 in ks:
-            try:
-                out.append((case, k1, None, None, prop1_params(case, m, k1)))
-            except ValueError:
-                continue
-    return out
-
-
-def _prop3_sweep(m, s_range):
-    return [s for s in range(s_range[0], s_range[1] + 1) if check_prop3(m, s).all_ok]
-
-
-def _cpp_class_sweep(m, k_max):
-    out = []
-    for cls in (1, 2):
-        for k in range(k_max + 1):
-            try:
-                cpp_class_params(cls, m, k)
-                out.append((cls, k))
-            except ValueError:
-                continue
-    for cls in (3, 4, 5, 6):
+    for args in candidates:
         try:
-            cpp_class_params(cls, m)
-            out.append((cls, None))
+            params_fn(*args)
         except ValueError:
             continue
+        out.append(args)
     return out
+
+
+def _sweep(group, m, s_range=(0, 9), l_range=(0, 9), e_range=(0, 9), k_max=6) -> list:
+    """The generator arguments, bar the field and circle, of every valid
+    tuple of one family group at this m, in parameter order."""
+    ss = range(s_range[0], s_range[1] + 1)
+    ks = range(k_max + 1)
+    if group == "thm1":
+        ls = range(l_range[0], l_range[1] + 1)
+        es = range(max(e_range[0], 1), e_range[1] + 1)
+        params = (make_niho(m, s, l, e) for s, l, e in product(ss, ls, es))
+        return [(p,) for p in params if check_theorem1(p).all_ok]
+    if group == "prop1":
+        cases = [(case, m, *k) for case in (1, 2) for k in product(ks, repeat=3)]
+        cases += [(case, m, k1, None, None) for case in (3, 4, 5, 6) for k1 in ks]
+        return _accepted(prop1_params, cases)
+    if group in ("prop3", "cor2"):
+        return [(m, s) for s in ss if check_prop3(m, s).all_ok]
+    if group == "cpp-class":
+        return _accepted(cpp_class_params, [(cls, m, k) for cls in (1, 2) for k in ks]
+                         + [(cls, m, None) for cls in (3, 4, 5, 6)])
+    return [(m,)] if m % 2 == 1 and m >= 3 else []  # conj
 
 
 def _sample_tuples(tuples, group, m, budget, seed):
@@ -375,6 +318,12 @@ def _sample_tuples(tuples, group, m, budget, seed):
     rng = random.Random(seed * 1000003 + zlib.crc32(f"{group}:{m}".encode()))
     keep = sorted(rng.sample(range(len(tuples)), budget))
     return [tuples[i] for i in keep]
+
+
+def verify_claim(inst: FamilyInstance) -> VerificationReport:
+    """The check of an instance's claim: ``is_cpp`` for a CPP claim,
+    ``is_permutation_brute`` otherwise."""
+    return is_cpp(inst.poly) if CPP in inst.claims else is_permutation_brute(inst.poly)
 
 
 def scan_families(
@@ -404,46 +353,25 @@ def scan_families(
         raise ValueError(f"budget must be >= 1 (or None for every tuple), got {budget}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    # looked up per call, so that a replaced module attribute is the one run
+    generators = dict(zip(FAMILY_GROUPS, (gen_theorem1, gen_prop1, gen_prop3,
+                                          gen_cpp_cor2, gen_cpp_class, gen_conjecture)))
     records = []
     for m in m_range:
         ctx = field_new(2 * m)
         circle = build_unit_circle(ctx)
         cache = {}
-
-        def verified(inst):
-            wants_cpp = CPP in inst.claims
-            key = (inst.poly.terms, wants_cpp)
-            rep = cache.get(key)
-            if rep is None:
-                rep = is_cpp(inst.poly) if wants_cpp else is_permutation_brute(inst.poly)
-                cache[key] = rep
-            return inst, rep
-
-        if "thm1" in groups:
-            tuples = _sample_tuples(_thm1_sweep(m, s_range, l_range, e_range),
-                                    "thm1", m, budget, seed)
-            for p in tuples:
-                records.extend(verified(i) for i in gen_theorem1(p, ctx, circle))
-        if "prop1" in groups and m % 2 == 1:
-            tuples = _sample_tuples(_prop1_sweep(m, k_max), "prop1", m, budget, seed)
-            for case, k1, k2, k3, _ in tuples:
-                records.extend(
-                    verified(i) for i in gen_prop1(case, m, k1, k2, k3, ctx, circle)
-                )
-        if "prop3" in groups:
-            tuples = _sample_tuples(_prop3_sweep(m, s_range), "prop3", m, budget, seed)
-            for s in tuples:
-                records.extend(verified(i) for i in gen_prop3(m, s, ctx, circle))
-        if "cor2" in groups:
-            tuples = _sample_tuples(_prop3_sweep(m, s_range), "cor2", m, budget, seed)
-            for s in tuples:
-                records.extend(verified(i) for i in gen_cpp_cor2(m, s, ctx, circle))
-        if "cpp-class" in groups:
-            tuples = _sample_tuples(_cpp_class_sweep(m, k_max), "cpp-class", m, budget, seed)
-            for cls, k in tuples:
-                records.extend(verified(i) for i in gen_cpp_class(cls, m, k, ctx, circle))
-        if "conj" in groups and m % 2 == 1 and m >= 3:
-            records.extend(verified(i) for i in gen_conjecture(m, ctx))
+        for group in FAMILY_GROUPS:
+            if group not in groups:
+                continue
+            shared = (ctx,) if group == "conj" else (ctx, circle)
+            tuples = _sweep(group, m, s_range, l_range, e_range, k_max)
+            for args in _sample_tuples(tuples, group, m, budget, seed):
+                for inst in generators[group](*args, *shared):
+                    key = (inst.poly.terms, CPP in inst.claims)
+                    if key not in cache:
+                        cache[key] = verify_claim(inst)
+                    records.append((inst, cache[key]))
     return records
 
 
@@ -453,36 +381,6 @@ CSV_COLUMNS = [
     "family_id", "m", "s", "l", "e", "k1", "k2", "k3",
     "u_hex", "d1", "d2", "claim", "verdict", "elapsed_ms",
 ]
-
-
-def _claim_str(claims) -> str:
-    return "+".join(c for c in (PP, CPP) if c in claims)
-
-
-def _blank_if_none(v):
-    return "" if v is None else v
-
-
-def instance_row(inst: FamilyInstance, rep: VerificationReport = None,
-                 timing: bool = False) -> list:
-    """One CSV row; verdict and elapsed stay blank without a report/timing."""
-    p = inst.niho
-    return [
-        inst.family_id,
-        inst.m,
-        _blank_if_none(p.s if p else None),
-        _blank_if_none(p.l if p else None),
-        _blank_if_none(p.e if p else None),
-        _blank_if_none(inst.k1),
-        _blank_if_none(inst.k2),
-        _blank_if_none(inst.k3),
-        f"0x{inst.u:x}" if inst.u is not None else "",
-        _blank_if_none(p.d1 if p else None),
-        _blank_if_none(p.d2 if p else None),
-        _claim_str(inst.claims),
-        ("true" if rep.verdict else "false") if rep is not None else "",
-        f"{rep.elapsed * 1000:.3f}" if rep is not None and timing else "",
-    ]
 
 
 def instance_to_obj(inst: FamilyInstance, rep: VerificationReport = None,
@@ -499,12 +397,26 @@ def instance_to_obj(inst: FamilyInstance, rep: VerificationReport = None,
         "k2": inst.k2,
         "k3": inst.k3,
         "u": f"0x{inst.u:x}" if inst.u is not None else None,
-        "poly": inst.poly.to_spec(),
+        "poly": inst.poly.to_spec() if inst.poly is not None else None,
         "claims": [c for c in (PP, CPP) if c in inst.claims],
     }
     if rep is not None:
         obj["report"] = rep.to_json(timing=timing)
     return obj
+
+
+def instance_row(inst: FamilyInstance, rep: VerificationReport = None,
+                 timing: bool = False) -> list:
+    """:func:`instance_to_obj` as one CSV row; a missing value is a blank
+    cell, so verdict and elapsed stay blank without a report/timing."""
+    obj = instance_to_obj(inst, rep, timing)
+    report = obj.get("report", {})
+    cells = {**obj, **(obj["params"] or {}), "u_hex": obj["u"], "claim": "+".join(obj["claims"])}
+    if "verdict" in report:
+        cells["verdict"] = str(report["verdict"]).lower()
+    if "elapsed_ms" in report:
+        cells["elapsed_ms"] = f"{report['elapsed_ms']:.3f}"
+    return ["" if cells.get(c) is None else cells[c] for c in CSV_COLUMNS]
 
 
 def scan_to_csv(records, stream, timing: bool = False) -> None:

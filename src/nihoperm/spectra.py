@@ -1,7 +1,7 @@
 """Permutation verification engines for sparse polynomials over GF(2^n).
 
-Three independent routes to the same yes/no question ("is f a permutation?"),
-so each can serve as an oracle for the others:
+Four routes to the same yes/no question ("is f a permutation?"), so each can
+serve as an oracle for the others:
 
 * ``brute``            -- evaluate f on all 2^n points and look for a collision.
 * ``charsum``          -- f permutes iff every nontrivial additive character
@@ -40,7 +40,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .exponents import NihoParams
+from .exponents import NihoParams, _require_theorem1
 from .gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
 from .unit_circle import UnitCircle, build_unit_circle
 
@@ -322,23 +322,17 @@ def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
     because u is not an r-th power.  Witness on failure is alpha^j for the
     smallest failing j, which is the smallest failing class.
 
-    Preconditions: gcd(d1, 2^n - 1) = 1, r = gcd(l, 2^m + 1) > 1,
-    gcd(e + l - 2s, 2^m + 1) = 1, and u on the circle but not an r-th power.
+    Preconditions: params meet Theorem 1 (``exponents.check_theorem1``; a
+    failure is the ValueError of the family generators), and u lies on the
+    circle but is not an r-th power.
     """
     t0 = perf_counter()
     ctx = field_new(params.n)
     circle = build_unit_circle(ctx)
-    m_ord = circle.order  # 2^m + 1
-    if not params.gcd_d1_one:
-        raise ValueError(f"gcd(d1, 2^n - 1) != 1 for d1={params.d1}")
-    r = gcd(params.l, m_ord)
-    if r <= 1:
-        raise ValueError(f"condition (i) fails: gcd(l={params.l}, 2^m + 1) = 1")
-    if gcd(params.e + params.l - 2 * params.s, m_ord) != 1:
-        raise ValueError("condition (ii) fails: gcd(e + l - 2s, 2^m + 1) > 1")
+    r = _require_theorem1(params)
     if u not in circle:
         raise ValueError(f"u = 0x{u:x} is not on the unit circle")
-    if ctx.pow(u, m_ord // r) == 1:
+    if ctx.pow(u, circle.order // r) == 1:
         raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
 
     q = (params.d1 - params.d2) % ctx.mult_order // (2**ctx.m - 1)

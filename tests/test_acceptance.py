@@ -18,8 +18,7 @@ from nihoperm.exponents import (
     gcd_p_2k1_guaranteed_one,
 )
 from nihoperm.families import (
-    _cpp_class_sweep,
-    _prop1_sweep,
+    _sweep,
     gen_cpp_class,
     gen_prop1,
     scan_families,
@@ -108,7 +107,7 @@ def test_acceptance_3_explicit_cases_double_checked(capsys):
     for m in (3, 5):
         ctx = field_new(2 * m)
         circle = build_unit_circle(ctx)
-        for case, k1, k2, k3, _params in _prop1_sweep(m, 6):
+        for case, _m, k1, k2, k3 in _sweep("prop1", m, k_max=6):
             cases_seen[m].add(case)
             for inst in gen_prop1(case, m, k1, k2, k3, ctx, circle):
                 total += 1
@@ -132,7 +131,7 @@ def test_acceptance_4_cpp_classes(capsys):
     for m in (3, 5, 7):
         ctx = field_new(2 * m)
         circle = build_unit_circle(ctx)
-        for cls, k in _cpp_class_sweep(m, 6):
+        for cls, _m, k in _sweep("cpp-class", m, k_max=6):
             for inst in gen_cpp_class(cls, m, k, ctx, circle):
                 total += 1
                 ids[m].add(inst.family_id)

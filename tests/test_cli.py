@@ -4,6 +4,7 @@ Everything drives cli.main(argv) in-process so stdout/stderr and return codes
 can be asserted exactly; one subprocess test covers the installed entry point.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -220,6 +221,23 @@ def test_generate_prop1_positional_case(capsys):
     assert ei.value.code == 64
 
 
+def test_generate_text_timing_tail(capsys):
+    argv = ["generate", "thm1", "--m", "3", "--s", "1", "--l", "3", "--e", "3", "--check"]
+    code, out, _ = run_cli(capsys, *argv, "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert all(re.search(r" verified=true elapsed_ms=\d+\.\d{3}$", line) for line in lines[:-1])
+    assert lines[-1] == "instances=6 failures=0"
+    _, out, _ = run_cli(capsys, *argv)
+    assert "elapsed_ms" not in out
+
+
+def test_generate_cpp_class_negative_k_exits_64(capsys):
+    code, out, err = run_cli(capsys, "generate", "cpp-class", "1", "--m", "3", "--k", "-1")
+    assert code == 64 and out == ""
+    assert "k >= 0, got k=-1" in err
+
+
 def test_generate_cor2_and_cpp_class(capsys):
     code, out, _ = run_cli(capsys, "generate", "cor2", "--m", "3", "--s", "6", "--check")
     assert code == 0
@@ -340,6 +358,65 @@ def test_conjecture_usage_errors(capsys):
     assert code == 64 and "n=22" in err
     code, _, err = run_cli(capsys, "conjecture", "--m", "3,x")
     assert code == 64 and "comma list" in err
+
+
+# -- golden digests --------------------------------------------------------------
+
+# sha256 of stdout and the exit code of the family layer's commands; any
+# change to these bytes is a change to the CSV, JSON or text output formats.
+GOLDEN = [
+    ("scan --m 3 --format jsonl", 0,
+     "a9aa2179f25d06364934cb4d5a88b64cc491da7110ec9ff989d178e6d04a9302"),
+    ("scan --m 5 --budget 200 --seed 7 --format jsonl", 0,
+     "4be72666c810014a0e0c0c64bec6e41f6f7235b2a775a2baf854bf89b452b5e3"),
+    ("generate thm1 --m 3 --s 1 --l 3 --e 3 --check --format text", 0,
+     "2f865678aa35d3d10cf790f772630de566d3a607dbedf2b6c34deed577b70b54"),
+    ("generate thm1 --m 3 --s 1 --l 3 --e 3 --check --format csv", 0,
+     "e433ee3745d818dfb2b05d78d5d943348de0a26be0eb97e3552f45e4fc1474c9"),
+    ("generate thm1 --m 3 --s 1 --l 3 --e 3 --check --format json", 0,
+     "c0cf9f73c1e71b66d5230f9a99cd4454ef1a18a018539a1ac4c194db1ff785db"),
+    ("generate prop1 1 --m 3 --k1 1 --k2 1 --k3 1 --check --format text", 0,
+     "7dea56f59414dd8b7c9fd24a7ebaf7a7ff2c0bd842ff27f7f0e7589fd1b387dd"),
+    ("generate prop1 1 --m 3 --k1 1 --k2 1 --k3 1 --check --format csv", 0,
+     "3eba542bfc10a97a1ef6b0d1ddcbf41098af0f15711b21623b895b3a5d219422"),
+    ("generate prop1 1 --m 3 --k1 1 --k2 1 --k3 1 --check --format json", 0,
+     "bc0722cf5eb00ff1bff8b01d273ad8ecda2319439edd08700005e84b9e586fc3"),
+    ("generate prop3 --m 5 --s 3 --check --format text", 0,
+     "1c3fb911bfb47ba6f169e1fc8d67aaf717ded28118a48489d05a5a3817cb1962"),
+    ("generate prop3 --m 5 --s 3 --check --format csv", 0,
+     "e2f2e3b1273abe277d0d84846a127f1fc9580c369d1f80123d6ab3dd40e95fe5"),
+    ("generate prop3 --m 5 --s 3 --check --format json", 0,
+     "c1347bd1bacf3e2fe4c0f549160329d6896b991d2c3940284c6dc64c19c6445f"),
+    ("generate cor2 --m 3 --s 6 --check --format text", 0,
+     "1cbb78987356dd0b3c4510c792f419f9b60ed38d67ce4623f677c8300b4770df"),
+    ("generate cor2 --m 3 --s 6 --check --format csv", 0,
+     "36b4d74aa213db90830de179f6100570a80d281471df61bf8a554a1cf063d91b"),
+    ("generate cor2 --m 3 --s 6 --check --format json", 0,
+     "882e0c4be873d0b792559a7f944032be5555cfc50556e204da3e6e61f44dd567"),
+    ("generate cpp-class 3 --m 3 --check --format text", 0,
+     "a35ce05c06237ff40ef9f01a32dc844b05315c65b1a33ac6336fefc971c80bb3"),
+    ("generate cpp-class 3 --m 3 --check --format csv", 0,
+     "e05c7b6b93cf298f2f64f6e998e2e0505cb67e80caa76353731a496337bf9d16"),
+    ("generate cpp-class 3 --m 3 --check --format json", 0,
+     "cdf8112c044366d3934752fcecdcbcbd7fb3835f9e89a67948472c096d3377fb"),
+    ("generate conj --m 5 --check --format text", 0,
+     "371fd611c275fe540234d5e207360e53f4959d5db3d8dee09a74441aabcd4d25"),
+    ("generate conj --m 5 --check --format csv", 0,
+     "e273e628bcd770648e7b6632cad84ccafe529be80bda884cc2b2023d4c2f07f4"),
+    ("generate conj --m 5 --check --format json", 0,
+     "c8d1bb09b9bc676fec44f8069c528d35d65e7b43dbad1e828a6bbeee83b537c1"),
+    ("conjecture --m 3,5", 0,
+     "30dbfc95637fdd8defaa7e74e13f88083b70e610d3c74a8d3833881091961244"),
+    ("conjecture --m 3,5 --format json", 0,
+     "5a452e4949eb126806920c6558542267b26a9c4176b76a7ab9c8c3351ba7da3e"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_digest(capsys, command, code, digest):
+    got, out, _ = run_cli(capsys, *command.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- parser plumbing ------------------------------------------------------------

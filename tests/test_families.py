@@ -34,7 +34,7 @@ from nihoperm.families import (
     scan_families,
     scan_to_csv,
     scan_to_jsonl,
-    _prop1_sweep,
+    _sweep,
 )
 from nihoperm.gf2n import FieldCtx, field_new
 from nihoperm.spectra import is_cpp, is_permutation_brute, unique_solution_check
@@ -66,6 +66,21 @@ def test_check_theorem1_failure_modes():
     assert not check_theorem1(make_niho(3, 1, 3, 7)).gcd_d1_ok  # gcd(e, 2^m-1) = 7
     cond = check_theorem1(make_niho(5, 13, 3, 1))  # e + l - 2s = -22, shares 11
     assert cond.gcd_d1_ok and cond.r_ok and not cond.cond_ii_ok
+
+
+@pytest.mark.parametrize("m, s, l, e", [
+    (3, 1, 3, 7),   # gcd(d1, 2^n - 1) = 1 fails
+    (3, 1, 1, 3),   # condition (i) fails
+    (5, 13, 3, 1),  # condition (ii) fails
+])
+def test_one_theorem1_predicate_one_message(m, s, l, e):
+    params = make_niho(m, s, l, e)
+    u = complement_coset(build_unit_circle(field_new(2 * m)), 3)[0]
+    with pytest.raises(ValueError) as from_generator:
+        gen_theorem1(params)
+    with pytest.raises(ValueError) as from_engine:
+        unique_solution_check(params, u)
+    assert str(from_engine.value) == str(from_generator.value)
 
 
 def test_gen_theorem1_instances(ctx6, circle6):
@@ -158,10 +173,10 @@ def test_prop1_params_validation():
 
 def test_prop1_sweep_always_lands_on_r3():
     for m in (3, 5):
-        tuples = _prop1_sweep(m, 4)
+        tuples = _sweep("prop1", m, k_max=4)
         assert tuples, f"no case parameters found for m={m}"
-        for case, k1, k2, k3, params in tuples:
-            cond = check_theorem1(params)
+        for case, _m, k1, k2, k3 in tuples:
+            cond = check_theorem1(prop1_params(case, m, k1, k2, k3))
             assert cond.all_ok and cond.r == 3, (case, k1, k2, k3)
 
 
@@ -249,6 +264,8 @@ def test_cpp_class_params_validation():
         cpp_class_params(1, 3)
     with pytest.raises(ValueError, match="odd m and k"):
         cpp_class_params(1, 3, 2)
+    with pytest.raises(ValueError, match="class 1 requires k >= 0, got k=-1"):
+        cpp_class_params(1, 3, -1)
     with pytest.raises(ValueError, match="even m"):
         cpp_class_params(2, 3, 2)
     with pytest.raises(ValueError, match="odd, got k=2, m=8"):

@@ -9,6 +9,7 @@ Exit codes: 0 all claims verified, 1 a claim failed (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -50,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nihoperm",

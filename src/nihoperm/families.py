@@ -232,6 +232,8 @@ def cpp_class_params(cls: int, m: int, k: int = None) -> tuple:
             )
         s, r = 2**k + 1, 2**t + 1
     else:
+        if k is not None:
+            raise ValueError(f"class {cls} does not depend on k, got k={k}")
         if m % 2 == 0:
             raise ValueError(f"class {cls} requires odd m, got {m}")
         if cls == 3 and m % 5 == 0:

@@ -25,7 +25,7 @@ Scalar operations work bit by bit on ints.  Bulk operations act on numpy
 uint32 arrays and are what make exhausting a 2^20-element domain affordable;
 they are cross-checked against the scalar routines in the test suite.  The
 kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
-`trace_bits`, `subfield_mask`) are one table lookup for the low m = n/2 bits
+`trace_bits`, `in_subfield`) are one table lookup for the low m = n/2 bits
 of each element XORed with one for the high m bits, each table holding
 2^m <= 1024 images.  The product of two arrays (`mul_vec`, and so the
 multiplications inside `pow_vec`) keeps the shift-and-reduce bit loop.  No
@@ -87,7 +87,7 @@ class FieldCtx:
         self._domain = None
         self._sqr = None
         self._trace_bits = None
-        self._subfield_mask = None
+        self._residue = None
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, irreducible=0x{self.irreducible:x})"
@@ -259,13 +259,20 @@ class FieldCtx:
             self._trace_bits = self._linear_map(images)(self.domain()).astype(np.uint8)
         return self._trace_bits
 
+    def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
+        """x^(2^m) + x, through cached tables: GF(2)-linear, zero exactly on GF(2^m)."""
+        if self._residue is None:
+            images = [self.pow(1 << j, 1 << self.m) ^ (1 << j) for j in range(self.n)]
+            self._residue = self._linear_map(images)
+        return self._residue(arr)
+
+    def in_subfield(self, arr: np.ndarray) -> np.ndarray:
+        """Bool array: which elements of arr lie in the subfield GF(2^m)."""
+        return self._subfield_residue(arr) == 0
+
     def subfield_mask(self) -> np.ndarray:
-        """Cached bool array marking the subfield GF(2^m) inside GF(2^n)."""
-        if self._subfield_mask is None:
-            images = [self.pow(1 << j, 1 << self.m) for j in range(self.n)]
-            d = self.domain()
-            self._subfield_mask = self._linear_map(images)(d) == d
-        return self._subfield_mask
+        """Bool array marking the subfield GF(2^m) inside GF(2^n)."""
+        return self.in_subfield(self.domain())
 
 
 def field_new(n: int) -> FieldCtx:

@@ -16,8 +16,9 @@ serve as an oracle for the others:
                           N counted on the (2^m + 1)-point unit circle.  N
                           depends only on delta's class mod 2^m + 1; one count,
                           ``_circle_counts``, gives every class at once, and
-                          the niho path, ``count_unit_circle_solutions`` and
-                          ``unique_solution_check`` all call it.
+                          no array on this path is indexed by the field.
+                          ``unique_solution_check`` is this path behind
+                          Theorem 1's preconditions.
 
 Every engine takes only its polynomial (or, for ``unique_solution_check``,
 its exponent parameters and coefficient): the field comes from the input and
@@ -184,9 +185,7 @@ def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False):
     unit-circle path) when every exponent is congruent mod 2^m - 1 and
     ``force_direct`` is off, otherwise "delta_criterion" (the full-field path).
     """
-    pivot = next(
-        (i for i, e in enumerate(exponents) if gcd(e, ctx.mult_order) == 1), None
-    )
+    pivot = next((i for i, e in enumerate(exponents) if gcd(e, ctx.mult_order) == 1), None)
     step = 2**ctx.m - 1
     if not force_direct and all((e - exponents[0]) % step == 0 for e in exponents):
         return pivot, "niho"
@@ -199,8 +198,8 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
     The path is :func:`delta_path`'s.  When every exponent is congruent to the
     pivot mod 2^m - 1 the per-delta sum depends only on the class of delta
     mod 2^m + 1, and :func:`_circle_counts` gives every class at once (engine
-    "niho", about (2^m + 1)^2 array work, plus one whole-field power to place
-    the witness on failure).  Otherwise, or under ``force_direct``, every sum
+    "niho", about (2^m + 1)^2 array work; the witness search costs about the
+    witness itself).  Otherwise, or under ``force_direct``, every sum
     is read off the character spectrum of f over the whole field (engine
     "delta_criterion", one Walsh-Hadamard transform: cost n 2^n).
     """
@@ -217,25 +216,17 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
     verdict, witness = True, None
     if engine == "niho":
         # Dividing by the pivot coefficient does not change whether f permutes.
-        rest = [t for i, t in enumerate(f.terms) if i != pivot]
-        if c1 != 1:
-            ic = ctx.inv(c1)
-            rest = [(ctx.mul(c, ic), e) for c, e in rest]
-        coeffs = [c for c, _ in rest]
-        shifts = [(d1 - e) % ctx.mult_order for _, e in rest]
+        ic = ctx.inv(c1)
+        rest = [(ctx.mul(c, ic), e) for i, (c, e) in enumerate(f.terms) if i != pivot]
         # delta^(d1 - d_i) = (delta^(2^m - 1))^q_i, and delta^(2^m - 1) is the
         # circle point whose index is the class of delta
         step = 2**ctx.m - 1
         circle = build_unit_circle(ctx)
-        counts = _circle_counts(
-            circle, [d1] + [e for _, e in rest], coeffs, [s // step for s in shifts]
-        )
-        bad = counts != 1
-        if bad.any():
-            failing = np.zeros(ctx.order, dtype=bool)
-            failing[np.array(circle.elements, dtype=np.uint32)[bad]] = True
-            classes = ctx.pow_vec(ctx.domain()[1:], step)
-            verdict, witness = False, 1 + int(np.argmax(failing[classes]))
+        counts = _circle_counts(circle, [d1] + [e for _, e in rest], [c for c, _ in rest],
+                                [(d1 - e) % ctx.mult_order // step for _, e in rest])
+        failing = np.array(circle.elements, dtype=np.uint32)[counts != 1]
+        if len(failing):
+            verdict, witness = False, _first_delta_onto(ctx, failing)
     else:
         # x -> x/delta turns the sum at delta into the character sum of f at
         # gamma = delta^d1 / c1, so every delta reads one spectrum
@@ -253,18 +244,32 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     in GF(2^m)}, where ``ds`` = [d1, d_2, ...], g is the circle generator and
     ``circle.elements[i]`` = g^i.  Writing lam = g^a, a term is
     (c_i * elements)[(t q_i + a d_i) mod M] with M = 2^m + 1, so one
-    (rows x M) array of table lookups holds every class.  N(t) depends on t
-    only mod M / gcd(M, q_1, ...); only those rows are computed.
+    (rows x M) array of table lookups holds every class; each table holds
+    the image of its term under x -> x^(2^m) + x, linear with kernel GF(2^m).
+    N(t) depends on t only mod M / gcd(M, q_1, ...); only those rows are computed.
     """
     ctx = circle.ctx
     pts = np.array(circle.elements, dtype=np.uint32)
     M = len(pts)
     t = np.arange(M // gcd(M, *qs))[:, None]
     a = np.arange(M)
-    h = np.tile(pts[a * ds[0] % M], (len(t), 1))
+    h = np.tile(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), 1))
     for c, d, q in zip(coeffs, ds[1:], qs):
-        h ^= ctx.scalar_mul_vec(c, pts)[(t * q + a * d) % M]
-    return np.resize(ctx.subfield_mask()[h].sum(axis=1), M)
+        h ^= ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))[(t * q + a * d) % M]
+    return np.resize((h == 0).sum(axis=1), M)
+
+
+def _first_delta_onto(ctx: FieldCtx, points: np.ndarray) -> int:
+    """Smallest delta >= 1 with delta^(2^m - 1) in ``points`` (circle points),
+    searched in blocks of doubling size from 2^m + 1: each point has 2^m - 1
+    such deltas, so the cost follows the answer rather than 2^n."""
+    lo, size = 1, 2**ctx.m + 1
+    while True:
+        block = np.arange(lo, min(lo + size, ctx.order), dtype=np.uint32)
+        hits = np.flatnonzero(np.isin(ctx.pow_vec(block, 2**ctx.m - 1), points))
+        if len(hits):
+            return lo + int(hits[0])
+        lo, size = lo + size, 2 * size
 
 
 def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
@@ -308,52 +313,35 @@ def exp_sum_via_niho(ctx: FieldCtx, d_list, w_list) -> int:
 
 
 def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
-    """Verify x^d1 + u*x^d2 over GF(2^n), n = params.n, permutes by the
-    unit-circle unique-root argument.
+    """Whether x^d1 + u*x^d2 permutes GF(2^n), n = params.n: the niho path
+    of :func:`is_pp_delta_criterion` (witness rule included) once the
+    preconditions below hold.
 
-    For delta = alpha^j the delta-criterion instance has coefficient
-    w = u * delta^(d1 - d2) = u * g^(j*q) on the unit circle, with
-    q = (d1 - d2) / (2^m - 1) and g the circle generator, so the count
-    depends only on the class j mod 2^m + 1 and :func:`_circle_counts` gives
-    all classes in one call.  Each count should be 1: for lam and w on the
-    circle, lam^d1 + w*lam^d2 lies in GF(2^m) iff
+    There the count for delta has coefficient w = u * delta^(d1 - d2) on the
+    unit circle, and each count should be 1: for lam and w on the circle,
+    lam^d1 + w*lam^d2 lies in GF(2^m) iff
     (w*lam^d2 + lam^d1) * (w*lam^(d1+d2) + 1) = 0; the second factor has the
     single root w^(-1/(d1 + d2)) by condition (ii), and the first has none
-    because u is not an r-th power.  Witness on failure is alpha^j for the
-    smallest failing j, which is the smallest failing class.
+    because u is not an r-th power.
 
     Preconditions: params meet Theorem 1 (``exponents.check_theorem1``; a
     failure is the ValueError of the family generators), and u lies on the
     circle but is not an r-th power.
     """
-    t0 = perf_counter()
     ctx = field_new(params.n)
-    circle = build_unit_circle(ctx)
     r = _require_theorem1(params)
-    if u not in circle:
+    if not 0 < u < ctx.order or ctx.pow(u, 2**ctx.m + 1) != 1:
         raise ValueError(f"u = 0x{u:x} is not on the unit circle")
-    if ctx.pow(u, circle.order // r) == 1:
+    if ctx.pow(u, (2**ctx.m + 1) // r) == 1:
         raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
-
-    q = (params.d1 - params.d2) % ctx.mult_order // (2**ctx.m - 1)
-    counts = _circle_counts(circle, [params.d1, params.d2], [u], [q])
-    bad = np.flatnonzero(counts != 1)
-    if len(bad) == 0:
-        verdict, witness = True, None
-    else:
-        verdict, witness = False, ctx.pow(ctx.primitive, int(bad[0]))
-    return VerificationReport("niho", verdict, witness, perf_counter() - t0, ctx.field_spec())
+    return is_pp_delta_criterion(SparsePoly.make(ctx, [(1, params.d1), (u, params.d2)]))
 
 
 def is_cpp(f: SparsePoly) -> VerificationReport:
     """Complete-permutation test: both f and f + x must permute (brute force)."""
     t0 = perf_counter()
-    first = is_permutation_brute(f)
-    if not first.verdict:
-        return VerificationReport(
-            "brute", False, first.witness, perf_counter() - t0, f.ctx.field_spec()
-        )
-    second = is_permutation_brute(f.plus_x())
-    return VerificationReport(
-        "brute", second.verdict, second.witness, perf_counter() - t0, f.ctx.field_spec()
-    )
+    rep = is_permutation_brute(f)
+    if rep.verdict:
+        rep = is_permutation_brute(f.plus_x())
+    return VerificationReport("brute", rep.verdict, rep.witness, perf_counter() - t0,
+                              f.ctx.field_spec())

@@ -183,6 +183,20 @@ def test_verify_n20_default_and_all_engines(capsys):
     ]
 
 
+def test_main_builds_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "--n", "4", "--poly", "1:7")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_verify_engine_disagreement_exit_code(capsys, monkeypatch):
     fake = VerificationReport("brute", False, (0, 1), 0.0, {"n": 6})
     monkeypatch.setattr(cli, "is_permutation_brute", lambda poly: fake)
@@ -236,6 +250,14 @@ def test_generate_cpp_class_negative_k_exits_64(capsys):
     code, out, err = run_cli(capsys, "generate", "cpp-class", "1", "--m", "3", "--k", "-1")
     assert code == 64 and out == ""
     assert "k >= 0, got k=-1" in err
+
+
+def test_generate_cpp_class_without_k_refuses_k(capsys):
+    code, out, err = run_cli(
+        capsys, "generate", "cpp-class", "3", "--m", "3", "--k", "5", "--format", "csv"
+    )
+    assert code == 64 and out == ""
+    assert err == "nihoperm: error: class 3 does not depend on k, got k=5\n"
 
 
 def test_generate_cor2_and_cpp_class(capsys):

@@ -274,6 +274,9 @@ def test_cpp_class_params_validation():
         cpp_class_params(3, 5)
     with pytest.raises(ValueError, match="odd m"):
         cpp_class_params(4, 4)
+    for cls in (3, 4, 5, 6):
+        with pytest.raises(ValueError, match=f"class {cls} does not depend on k, got k=5"):
+            cpp_class_params(cls, 3, 5)
 
 
 def test_gen_cpp_class_instances(ctx6, circle6):

@@ -294,6 +294,8 @@ def test_trace_bits_and_subfield_mask(ctx):
         assert int(tb[x]) == ctx.trace(x)
     mask = ctx.subfield_mask()
     assert int(mask.sum()) == 2**ctx.m  # GF(2^m) has exactly 2^m elements
+    rows = np.array(sample[:12], dtype=np.uint32).reshape(3, 4)
+    assert ctx.in_subfield(rows).tolist() == mask[rows].tolist()
     for x in sample:
         assert bool(mask[x]) == (ctx.pow(x, 2**ctx.m) == x)
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from nihoperm.exponents import make_niho
-from nihoperm.gf2n import SparsePoly, canonical_exponent, field_new
+from nihoperm.families import gen_theorem1
+from nihoperm.gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
 from nihoperm.spectra import (
     VerificationReport,
     char_sum,
@@ -494,38 +495,86 @@ def test_unique_solution_precondition_errors(ctx6, circle6):
         unique_solution_check(make_niho(3, 1, 3, 3), 1)
 
 
+def first_delta_of_class(ctx, circle):
+    """Class t -> the smallest delta with delta^(2^m - 1) = g^t, by a scalar loop."""
+    first = {}
+    for delta in range(1, ctx.order):
+        first.setdefault(circle.index[ctx.pow(delta, 2**ctx.m - 1)], delta)
+    return first
+
+
+def failing_classes(monkeypatch, classes):
+    """Make the unit-circle count report exactly ``classes`` as failing."""
+
+    def counts(circle, ds, coeffs, qs):
+        out = np.ones(circle.order, dtype=np.int64)
+        out[list(classes)] = 0
+        return out
+
+    monkeypatch.setattr(spectra, "_circle_counts", counts)
+
+
 def test_unique_solution_witness_recovery(monkeypatch):
-    """Force failures at the classes whose coefficient is a chosen coset
-    member and check the reported delta is the earliest power of the
-    primitive element reaching them."""
+    """Forced failures at chosen classes: the witness is the first delta in
+    integer order whose class fails, not a power of the primitive element."""
     ctx = field_new(6)
     circle = build_unit_circle(ctx)
     params = make_niho(3, 1, 3, 3)
     u = complement_coset(circle, 3)[0]
-    M, r = circle.order, 3
-    iu = circle.index[u]
     assert unique_solution_check(params, u).verdict
-    poisoned = (1, 2)
-    failing = {circle.elements[(iu + t * r) % M] for t in poisoned}
-    real = spectra._circle_counts
+    first = first_delta_of_class(ctx, circle)
+    for poisoned in [(3,), (3, 5), (1, 4)]:
+        failing_classes(monkeypatch, poisoned)
+        rep = unique_solution_check(params, u)
+        assert not rep.verdict and rep.engine == "niho"
+        assert rep.witness == min(first[t] for t in poisoned)
+    assert first[3] == 5 and ctx.pow(ctx.primitive, 3) == 8
 
-    def poisoned_counts(circle, ds, coeffs, qs):
-        # class j has coefficient u * g^(j*q): the coset member iu + j*q
-        counts = real(circle, ds, coeffs, qs)
-        for j in range(M):
-            if circle.elements[(iu + j * qs[0]) % M] in failing:
-                counts[j] = 0
-        return counts
 
-    monkeypatch.setattr(spectra, "_circle_counts", poisoned_counts)
+@pytest.mark.parametrize("m, s, l, e", [(4, 0, 0, 1), (5, 0, 3, 1)])
+def test_niho_witness_is_first_delta_of_each_class(monkeypatch, m, s, l, e):
+    f = gen_theorem1(make_niho(m, s, l, e))[0].poly
+    ctx = f.ctx
+    circle = build_unit_circle(ctx)
+    assert is_pp_delta_criterion(f).verdict
+    first = first_delta_of_class(ctx, circle)
+    witnesses = []
+    for t in range(circle.order):
+        failing_classes(monkeypatch, [t])
+        rep = is_pp_delta_criterion(f)
+        assert rep.engine == "niho" and not rep.verdict
+        witnesses.append(rep.witness)
+    assert witnesses == [first[t] for t in range(circle.order)]
+    assert max(witnesses) > 2**m + 1  # found beyond the first block
+
+
+@pytest.mark.parametrize("n, spec, witness", [
+    (16, "1:298,45b6:10753", 353),
+    (20, "1:278,18711:74957", 392),
+])
+def test_niho_and_direct_witnesses_agree_on_large_fields(n, spec, witness):
+    f = SparsePoly.from_spec(field_new(n), spec)
+    niho = is_pp_delta_criterion(f)
+    direct = is_pp_delta_criterion(f, force_direct=True)
+    assert (niho.engine, direct.engine) == ("niho", "delta_criterion")
+    assert not niho.verdict and not direct.verdict
+    assert niho.witness == direct.witness == witness
+
+
+def test_circle_path_never_touches_the_whole_field(monkeypatch):
+    params = make_niho(10, 0, 5, 1)
+    u = gen_theorem1(params)[0].u
+    f = SparsePoly.from_spec(field_new(20), "1:1,1:1043461")
+
+    def whole_field(self):
+        raise AssertionError("whole-field array on the circle path")
+
+    monkeypatch.setattr(FieldCtx, "domain", whole_field)
+    monkeypatch.setattr(FieldCtx, "subfield_mask", whole_field)
     rep = unique_solution_check(params, u)
-    assert not rep.verdict
-    # oracle: smallest j with j*l = t*r (mod M), minimized over failures
-    expect_j = min(
-        next(j for j in range(M) if (j * params.l) % M == (t * r) % M)
-        for t in poisoned
-    )
-    assert rep.witness == ctx.pow(ctx.primitive, expect_j)
+    assert (rep.engine, rep.verdict, rep.witness) == ("niho", True, None)
+    rep = is_pp_delta_criterion(f)
+    assert (rep.engine, rep.verdict, rep.witness) == ("niho", False, 1)
 
 
 # -- complete permutations ------------------------------------------------------------

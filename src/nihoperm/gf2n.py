@@ -29,8 +29,10 @@ kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
 of each element XORed with one for the high m bits, each table holding
 2^m <= 1024 images.  The product of two arrays (`mul_vec`, and so the
 multiplications inside `pow_vec`) keeps the shift-and-reduce bit loop.  No
-log/antilog tables are used anywhere, so the cost of a field multiplication
-is the same whether or not the field fits in cache.
+log/antilog tables are used anywhere.  Whole-field evaluation
+(`spectra._values_over_domain`) hands these kernels blocks of 2^16 points
+rather than the whole 2^n domain, so their working arrays stay in cache at
+every n.
 """
 
 from __future__ import annotations
@@ -262,8 +264,11 @@ class FieldCtx:
     def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
         """x^(2^m) + x, through cached tables: GF(2)-linear, zero exactly on GF(2^m)."""
         if self._residue is None:
-            images = [self.pow(1 << j, 1 << self.m) ^ (1 << j) for j in range(self.n)]
-            self._residue = self._linear_map(images)
+            basis = np.uint32(1) << np.arange(self.n, dtype=np.uint32)
+            frobenius = basis
+            for _ in range(self.m):
+                frobenius = self.sqr_vec(frobenius)
+            self._residue = self._linear_map(frobenius ^ basis)
         return self._residue(arr)
 
     def in_subfield(self, arr: np.ndarray) -> np.ndarray:

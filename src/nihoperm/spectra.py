@@ -31,6 +31,11 @@ spectrum, ``_char_spectrum``: a Walsh-Hadamard transform of the image
 histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
 O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
+
+Every whole-field evaluation (brute, is_cpp, char_sum, the spectrum, and the
+gammas of the direct delta path) goes through ``_values_over_domain``, which
+evaluates f in consecutive blocks of 2^16 points: the power, scale and XOR
+chain of a block stays in cache, and only the 2^n output is whole-field.
 """
 
 from __future__ import annotations
@@ -94,13 +99,22 @@ class VerificationReport:
         return out
 
 
+# Points per block of a whole-field evaluation: the arrays of one block stay in
+# cache, and every field with n <= 16 is a single block.
+_BLOCK = 1 << 16
+
+
 def _values_over_domain(poly: SparsePoly) -> np.ndarray:
-    """f(x) for every x in the field, as a uint32 array indexed by x."""
+    """f(x) for every x in the field, as a uint32 array indexed by x, filled
+    one block of ``_BLOCK`` points at a time."""
     ctx = poly.ctx
     values = np.zeros(ctx.order, dtype=np.uint32)
-    for coeff, exp in poly.terms:
-        powers = ctx.pow_vec(ctx.domain(), exp)
-        values ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
+    for lo in range(0, ctx.order, _BLOCK):
+        block = np.arange(lo, min(lo + _BLOCK, ctx.order), dtype=np.uint32)
+        out = values[lo : lo + len(block)]
+        for coeff, exp in poly.terms:
+            powers = ctx.pow_vec(block, exp)
+            out ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
     return values
 
 
@@ -230,7 +244,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
     else:
         # x -> x/delta turns the sum at delta into the character sum of f at
         # gamma = delta^d1 / c1, so every delta reads one spectrum
-        gammas = ctx.scalar_mul_vec(ctx.inv(c1), ctx.pow_vec(ctx.domain()[1:], d1))
+        gammas = _values_over_domain(SparsePoly.make(ctx, [(ctx.inv(c1), d1)]))[1:]
         failing = np.flatnonzero(_char_spectrum(f)[gammas])
         if len(failing):
             verdict, witness = False, 1 + int(failing[0])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from .gf2n import FieldCtx
 
 
@@ -45,12 +47,14 @@ def build_unit_circle(ctx: FieldCtx) -> UnitCircle:
     """Materialize U = {x : x^(2^m + 1) = 1} as powers of a fixed generator."""
     g = ctx.pow(ctx.primitive, 2**ctx.m - 1)
     order = 2**ctx.m + 1
-    elements = [1]
-    cur = 1
-    for _ in range(order - 1):
-        cur = ctx.mul(cur, g)
-        elements.append(cur)
-    return UnitCircle(ctx=ctx, generator=g, elements=tuple(elements))
+    # by doubling: pts[2^j : 2^(j+1)] = g^(2^j) * pts[: 2^j]
+    pts = np.ones(order, dtype=np.uint32)
+    size, g_size = 1, g
+    while size < order:
+        step = min(size, order - size)
+        pts[size : size + step] = ctx.scalar_mul_vec(g_size, pts[:step])
+        size, g_size = size + step, ctx.mul(g_size, g_size)
+    return UnitCircle(ctx=ctx, generator=g, elements=tuple(pts.tolist()))
 
 
 def power_subgroup(circle: UnitCircle, r: int) -> list:

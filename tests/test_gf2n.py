@@ -284,6 +284,12 @@ def test_pow_vec_matches_scalar(ctx):
         ctx.pow_vec(sample, -1)
 
 
+def test_subfield_residue_is_frobenius_plus_identity(ctx):
+    sample = random.Random(9500 + ctx.n).sample(range(ctx.order), min(64, ctx.order))
+    got = ctx._subfield_residue(np.array(sample, dtype=np.uint32))
+    assert got.tolist() == [ctx.pow(x, 2**ctx.m) ^ x for x in sample]
+
+
 def test_trace_bits_and_subfield_mask(ctx):
     tb = ctx.trace_bits()
     assert tb.shape == (ctx.order,)

@@ -7,6 +7,7 @@ first-failure semantics.
 """
 
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -168,6 +169,54 @@ def test_brute_zero_polynomial():
     ctx = field_new(4)
     rep = is_permutation_brute(SparsePoly.make(ctx, []))
     assert not rep.verdict and rep.witness == (0, 1)
+
+
+# -- whole-field evaluation in blocks ---------------------------------------------
+
+
+def unblocked_values(f):
+    """sum of c * x^d over the whole domain in one array: the unblocked evaluation."""
+    ctx = f.ctx
+    values = np.zeros(ctx.order, dtype=np.uint32)
+    for c, d in f.terms:
+        values ^= ctx.scalar_mul_vec(c, ctx.pow_vec(ctx.domain(), d))
+    return values
+
+
+def test_values_over_domain_across_block_boundaries():
+    ctx = field_new(18)
+    assert ctx.order // spectra._BLOCK == 4
+    rng = random.Random(1818)
+    f = SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order))
+                              for _ in range(3)])
+    assert len(f.terms) == 3
+    values = spectra._values_over_domain(f)
+    for x in (0, 1, 2**16 - 1, 2**16, 2**17 - 1, 2**17, 2**18 - 1):
+        assert int(values[x]) == f.eval(x)
+    assert np.array_equal(values, unblocked_values(f))
+
+
+def test_brute_witness_is_first_collision_of_unblocked_values():
+    ctx = field_new(20)
+    f = SparsePoly.from_spec(ctx, "1:1,5:1043461")
+    values = unblocked_values(f)
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    x2 = int(np.flatnonzero(first[inverse] != np.arange(ctx.order))[0])
+    rep = is_permutation_brute(f)
+    assert not rep.verdict
+    assert rep.witness == (int(first[inverse[x2]]), x2)
+
+
+def test_values_over_domain_peak_memory_at_n20():
+    f = SparsePoly.from_spec(field_new(20), "1:1,5:1043461,3:5")
+    tracemalloc.start()
+    try:
+        spectra._values_over_domain(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4 MiB output plus the arrays of one block; a whole-domain chain needs about 40 MiB
+    assert peak <= 12 * 2**20
 
 
 # -- character-sum engine --------------------------------------------------------

@@ -5,6 +5,7 @@ multiplicative group; the decomposition is checked to be a bijection
 F_{2^n}* -> F_{2^m}* x U by reassembling every element.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -39,6 +40,15 @@ def test_matches_brute_force_filter(ctx, circle):
     m = ctx.n // 2
     want = {x for x in range(1, ctx.order) if ctx.pow(x, 2**m + 1) == 1}
     assert set(circle.elements) == want
+
+
+def test_elements_are_generator_powers_at_n20():
+    ctx = field_new(20)
+    circle = build_unit_circle(ctx)
+    assert circle.order == 2**10 + 1
+    assert all(type(x) is int for x in circle.elements)
+    for i in [0, 1, 2, 511, 512, 513, 1023, 1024] + random.Random(2020).sample(range(1025), 24):
+        assert circle.elements[i] == ctx.pow(circle.generator, i)
 
 
 def test_generator_has_full_order(ctx, circle):

@@ -30,9 +30,11 @@ of each element XORed with one for the high m bits, each table holding
 2^m <= 1024 images.  The product of two arrays (`mul_vec`, and so the
 multiplications inside `pow_vec`) keeps the shift-and-reduce bit loop.  No
 log/antilog tables are used anywhere.  Whole-field evaluation
-(`spectra._values_over_domain`) hands these kernels blocks of 2^16 points
-rather than the whole 2^n domain, so their working arrays stay in cache at
-every n.
+(`spectra._values_over_domain`) never hands these kernels the whole 2^n
+domain: a field of more than 2^14 points is walked in blocks of 2^14
+consecutive powers of the primitive element, `pow_vec` runs on the first
+block only (`alpha_powers`, cached on the field), and every later block is
+one `scalar_mul_vec` per term away from it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class FieldCtx:
         self.irreducible = irreducible
         self.primitive = primitive
         self._domain = None
+        self._alpha_powers = None
         self._sqr = None
         self._trace_bits = None
         self._residue = None
@@ -200,6 +203,34 @@ class FieldCtx:
             a <<= np.uint32(1)
             a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
         return p
+
+    def powers(self, a: int, count: int) -> np.ndarray:
+        """a^0, a^1, ..., a^(count - 1) as a uint32 array.
+
+        A scalar chain of ``mul`` gives the first ceil(count / 2^k) powers (at
+        most 64) and k doublings pts[s : 2s] = a^s * pts[:s] give the rest:
+        one ``scalar_mul_vec`` builds its tables for about the cost of 40
+        scalar products, so short runs stay scalar.
+        """
+        k = max(0, (count - 1).bit_length() - 6)
+        head = -(-count >> k)
+        chain = [1]
+        while len(chain) < head:
+            chain.append(self.mul(chain[-1], a))
+        pts = np.empty(count, dtype=np.uint32)
+        pts[:head] = chain[:head]
+        size, step = head, self.mul(chain[-1], a)
+        while size < count:
+            take = min(size, count - size)
+            pts[size : size + take] = self.scalar_mul_vec(step, pts[:take])
+            size, step = size + take, self.mul(step, step)
+        return pts
+
+    def alpha_powers(self, count: int) -> np.ndarray:
+        """``powers`` of the pinned primitive element, cached for the last count asked."""
+        if self._alpha_powers is None or len(self._alpha_powers) != count:
+            self._alpha_powers = self.powers(self.primitive, count)
+        return self._alpha_powers
 
     def _times_basis(self, c: int, count: int) -> list:
         """c * x^j for j = 0 .. count - 1, by one shift-and-reduce chain."""

@@ -33,9 +33,14 @@ O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
 
 Every whole-field evaluation (brute, is_cpp, char_sum, the spectrum, and the
-gammas of the direct delta path) goes through ``_values_over_domain``, which
-evaluates f in consecutive blocks of 2^16 points: the power, scale and XOR
-chain of a block stays in cache, and only the 2^n output is whole-field.
+gammas of the direct delta path) goes through ``_values_over_domain``.  A
+field with n <= 14 is one block, x = 1 .. 2^n - 1.  A larger field is walked
+in blocks of 2^14 consecutive powers of alpha: since (beta x)^d = beta^d x^d,
+only the first block is raised to powers, and each later block costs one
+scalar product per term plus one for the points it fills.  Only the 2^n
+output is whole-field.  ``brute`` marks the values it sees in a bool mask and
+looks for the first collision only on failure, sorting the shortest prefix
+(2^10, 2^12, ...) that holds a repeat.
 """
 
 from __future__ import annotations
@@ -100,35 +105,66 @@ class VerificationReport:
 
 
 # Points per block of a whole-field evaluation: the arrays of one block stay in
-# cache, and every field with n <= 16 is a single block.
-_BLOCK = 1 << 16
+# cache, and every field with n <= 14 is a single block.
+_BLOCK = 1 << 14
 
 
 def _values_over_domain(poly: SparsePoly) -> np.ndarray:
-    """f(x) for every x in the field, as a uint32 array indexed by x, filled
-    one block of ``_BLOCK`` points at a time."""
+    """f(x) for every x in the field, as a uint32 array indexed by x.
+
+    Every exponent is >= 1, so f(0) = 0.  A field of at most ``_BLOCK``
+    nonzero points is one block, x = 1 .. 2^n - 1.  A larger one is walked
+    in blocks of consecutive powers of alpha: block k is alpha^(kB) * base,
+    base = alpha^0 .. alpha^(B - 1), and (alpha^(kB) x)^d = alpha^(kBd) x^d,
+    so only the base is raised to powers; every block scales those powers by
+    one scalar per term and scatters the sum to its points.
+    """
     ctx = poly.ctx
     values = np.zeros(ctx.order, dtype=np.uint32)
-    for lo in range(0, ctx.order, _BLOCK):
-        block = np.arange(lo, min(lo + _BLOCK, ctx.order), dtype=np.uint32)
-        out = values[lo : lo + len(block)]
+    if ctx.mult_order <= _BLOCK:
+        out = values[1:]
+        base = np.arange(1, ctx.order, dtype=np.uint32)
         for coeff, exp in poly.terms:
-            powers = ctx.pow_vec(block, exp)
+            powers = ctx.pow_vec(base, exp)
             out ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
+        return values
+    base = ctx.alpha_powers(_BLOCK)
+    first = [ctx.pow_vec(base, exp) for _, exp in poly.terms]
+    scales = [coeff for coeff, _ in poly.terms]
+    steps = [ctx.pow(ctx.primitive, _BLOCK * exp) for _, exp in poly.terms]
+    shift, shift_step = 1, ctx.pow(ctx.primitive, _BLOCK)
+    for lo in range(0, ctx.mult_order, _BLOCK):
+        size = min(_BLOCK, ctx.mult_order - lo)
+        out = np.zeros(size, dtype=np.uint32)
+        for scale, powers in zip(scales, first):
+            out ^= ctx.scalar_mul_vec(scale, powers[:size])
+        values[ctx.scalar_mul_vec(shift, base[:size])] = out
+        scales = [ctx.mul(scale, step) for scale, step in zip(scales, steps)]
+        shift = ctx.mul(shift, shift_step)
     return values
 
 
 def _first_collision(values: np.ndarray) -> tuple:
     """Lowest x2 such that values[x2] repeats an earlier value, with that x1.
 
-    Matches a sequential scan that stops at the first repeated output.
+    Matches a sequential scan that stops at the first repeated output.  The
+    search sorts a prefix that grows fourfold from 2^10 until it holds a
+    repeat; the first repeat of the whole array lies in any such prefix.
+    Raises ValueError when no value repeats.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    repeats = order[1:][sv[1:] == sv[:-1]]
-    x2 = int(repeats.min())
-    x1 = int(np.nonzero(values == values[x2])[0][0])
-    return x1, x2
+    size = 1 << 10
+    while True:
+        prefix = values[:size]
+        order = np.argsort(prefix, kind="stable")
+        sv = prefix[order]
+        repeats = order[1:][sv[1:] == sv[:-1]]
+        if len(repeats):
+            x2 = int(repeats.min())
+            x1 = int(np.flatnonzero(prefix[:x2] == prefix[x2])[0])
+            return x1, x2
+        if size >= len(values):
+            raise ValueError(f"no value repeats among the {len(values)} values")
+        size *= 4
 
 
 def is_permutation_brute(f: SparsePoly) -> VerificationReport:
@@ -136,8 +172,9 @@ def is_permutation_brute(f: SparsePoly) -> VerificationReport:
     t0 = perf_counter()
     ctx = f.ctx
     values = _values_over_domain(f)
-    counts = np.bincount(values, minlength=ctx.order)
-    if int(counts.max()) <= 1:
+    seen = np.zeros(ctx.order, dtype=bool)
+    seen[values] = True
+    if seen.all():
         verdict, witness = True, None
     else:
         verdict, witness = False, _first_collision(values)

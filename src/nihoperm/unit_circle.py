@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-import numpy as np
-
 from .gf2n import FieldCtx
 
 
@@ -46,14 +44,7 @@ class UnitCircle:
 def build_unit_circle(ctx: FieldCtx) -> UnitCircle:
     """Materialize U = {x : x^(2^m + 1) = 1} as powers of a fixed generator."""
     g = ctx.pow(ctx.primitive, 2**ctx.m - 1)
-    order = 2**ctx.m + 1
-    # by doubling: pts[2^j : 2^(j+1)] = g^(2^j) * pts[: 2^j]
-    pts = np.ones(order, dtype=np.uint32)
-    size, g_size = 1, g
-    while size < order:
-        step = min(size, order - size)
-        pts[size : size + step] = ctx.scalar_mul_vec(g_size, pts[:step])
-        size, g_size = size + step, ctx.mul(g_size, g_size)
+    pts = ctx.powers(g, 2**ctx.m + 1)
     return UnitCircle(ctx=ctx, generator=g, elements=tuple(pts.tolist()))
 
 

@@ -284,6 +284,26 @@ def test_pow_vec_matches_scalar(ctx):
         ctx.pow_vec(sample, -1)
 
 
+def test_powers_match_a_scalar_chain(ctx):
+    a = random.Random(8500 + ctx.n).randrange(2, ctx.order)
+    chain = [1]
+    for _ in range(1100):
+        chain.append(ctx.mul(chain[-1], a))
+    # counts on both sides of the scalar head (64) and of each doubling
+    for count in (0, 1, 2, 33, 64, 65, 128, 129, 1000, 1025):
+        got = ctx.powers(a, count)
+        assert got.dtype == np.uint32
+        assert got.tolist() == chain[:count]
+
+
+def test_alpha_powers_cached_per_count():
+    ctx = field_new(12)
+    block = ctx.alpha_powers(300)
+    assert ctx.alpha_powers(300) is block
+    assert block.tolist() == [ctx.pow(ctx.primitive, i) for i in range(300)]
+    assert ctx.alpha_powers(5).tolist() == block[:5].tolist()
+
+
 def test_subfield_residue_is_frobenius_plus_identity(ctx):
     sample = random.Random(9500 + ctx.n).sample(range(ctx.order), min(64, ctx.order))
     got = ctx._subfield_residue(np.array(sample, dtype=np.uint32))

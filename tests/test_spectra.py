@@ -184,15 +184,45 @@ def unblocked_values(f):
 
 
 def test_values_over_domain_across_block_boundaries():
-    ctx = field_new(18)
-    assert ctx.order // spectra._BLOCK == 4
-    rng = random.Random(1818)
-    f = SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order))
-                              for _ in range(3)])
-    assert len(f.terms) == 3
+    B = spectra._BLOCK
+    for n in (18, 20):
+        ctx = field_new(n)
+        assert ctx.mult_order > B
+        rng = random.Random(1800 + n)
+        # coefficients != 1, the exponent 2^n - 1 (1 off zero, 0 at zero) and random terms
+        f = SparsePoly.make(ctx, [(1, 1), (rng.randrange(2, ctx.order), ctx.mult_order)]
+                            + [(rng.randrange(2, ctx.order), rng.randrange(2, ctx.order))
+                               for _ in range(2)])
+        assert len(f.terms) == 4
+        values = spectra._values_over_domain(f)
+        # block k holds alpha^(kB) .. alpha^(kB + B - 1); check both sides of the
+        # first and the last boundary, and the last point alpha^(2^n - 2)
+        last = (ctx.mult_order - 1) // B
+        exps = [k * B + j for k in (1, last) for j in (-1, 0)] + [ctx.mult_order - 1]
+        for x in [0] + [ctx.pow(ctx.primitive, i) for i in exps]:
+            assert int(values[x]) == f.eval(x)
+        assert np.array_equal(values, unblocked_values(f))
+
+
+@pytest.mark.parametrize("n", [4, 14, 16, 20])
+def test_values_over_domain_of_the_zero_polynomial(n):
+    values = spectra._values_over_domain(SparsePoly.make(field_new(n), []))
+    assert values.shape == (2**n,) and not values.any()
+
+
+def test_values_over_domain_raises_only_the_first_block_to_powers(monkeypatch):
+    f = SparsePoly.from_spec(field_new(20), "1:1,5:1043461,3:5")
+    elems = []
+    pow_vec = FieldCtx.pow_vec
+
+    def counted(ctx, arr, k):
+        elems.append(arr.size)
+        return pow_vec(ctx, arr, k)
+
+    monkeypatch.setattr(FieldCtx, "pow_vec", counted)
     values = spectra._values_over_domain(f)
-    for x in (0, 1, 2**16 - 1, 2**16, 2**17 - 1, 2**17, 2**18 - 1):
-        assert int(values[x]) == f.eval(x)
+    monkeypatch.undo()
+    assert sum(elems) <= spectra._BLOCK * len(f.terms)
     assert np.array_equal(values, unblocked_values(f))
 
 
@@ -217,6 +247,45 @@ def test_values_over_domain_peak_memory_at_n20():
         tracemalloc.stop()
     # the 4 MiB output plus the arrays of one block; a whole-domain chain needs about 40 MiB
     assert peak <= 12 * 2**20
+
+
+def test_brute_peak_memory_at_n20():
+    ctx = field_new(20)
+    pp = gen_theorem1(make_niho(10, 0, 5, 1))[0].poly
+    non_pp = SparsePoly.from_spec(ctx, "1:1,5:1043461")
+    for f, verdict in ((pp, True), (non_pp, False)):
+        tracemalloc.start()
+        try:
+            rep = is_permutation_brute(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict is verdict
+        # the 4 MiB image, a 1 MiB mask of the values seen and one block's arrays
+        assert peak <= 8 * 2**20
+
+
+def argsort_first_collision(values):
+    """The first collision by one stable argsort of the whole array."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    x2 = int(order[1:][sv[1:] == sv[:-1]].min())
+    return int(np.flatnonzero(values == values[x2])[0]), x2
+
+
+@pytest.mark.parametrize("x1, x2", [(0, 1), (5, 2**10 - 1), (0, 2**10), (17, 2**10 + 1),
+                                    (2**10, 2**10 + 1), (3, 2**14), (0, 2**16 - 1)])
+def test_first_collision_matches_argsort(x1, x2):
+    values = np.random.default_rng(x2).permutation(2**16).astype(np.uint32)
+    values[x2] = values[x1]
+    assert spectra._first_collision(values) == argsort_first_collision(values) == (x1, x2)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**10, 2**10 + 1, 2**12])
+def test_first_collision_without_a_repeat_raises(size):
+    values = np.arange(size, dtype=np.uint32)[::-1].copy()
+    with pytest.raises(ValueError, match="no value repeats"):
+        spectra._first_collision(values)
 
 
 # -- character-sum engine --------------------------------------------------------

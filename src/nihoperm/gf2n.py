@@ -27,14 +27,11 @@ they are cross-checked against the scalar routines in the test suite.  The
 kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
 `trace_bits`, `in_subfield`) are one table lookup for the low m = n/2 bits
 of each element XORed with one for the high m bits, each table holding
-2^m <= 1024 images.  The product of two arrays (`mul_vec`, and so the
-multiplications inside `pow_vec`) keeps the shift-and-reduce bit loop.  No
-log/antilog tables are used anywhere.  Whole-field evaluation
-(`spectra._values_over_domain`) never hands these kernels the whole 2^n
-domain: a field of more than 2^14 points is walked in blocks of 2^14
-consecutive powers of the primitive element, `pow_vec` runs on the first
-block only (`alpha_powers`, cached on the field), and every later block is
-one `scalar_mul_vec` per term away from it.
+2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once, and
+over the whole field a map is the outer XOR of its two tables.  The product
+of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit
+loop.  No log/antilog tables are used anywhere.  Whole-field evaluation
+(`spectra._walk`) runs `pow_vec` only on fields of at most 2^14 points.
 """
 
 from __future__ import annotations
@@ -89,7 +86,6 @@ class FieldCtx:
         self.irreducible = irreducible
         self.primitive = primitive
         self._domain = None
-        self._alpha_powers = None
         self._sqr = None
         self._trace_bits = None
         self._residue = None
@@ -204,68 +200,73 @@ class FieldCtx:
             a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
         return p
 
-    def powers(self, a: int, count: int) -> np.ndarray:
-        """a^0, a^1, ..., a^(count - 1) as a uint32 array.
-
-        A scalar chain of ``mul`` gives the first ceil(count / 2^k) powers (at
-        most 64) and k doublings pts[s : 2s] = a^s * pts[:s] give the rest:
-        one ``scalar_mul_vec`` builds its tables for about the cost of 40
-        scalar products, so short runs stay scalar.
-        """
+    def powers(self, a, count: int) -> np.ndarray:
+        """a^0 .. a^(count - 1) as a uint32 array, or one row per element of a list a:
+        a chain of ``mul`` gives the first ceil(count / 2^k) <= 64 powers and k
+        doublings pts[s : 2s] = a^s * pts[:s] the rest, one table build each."""
+        bases = [a] if np.ndim(a) == 0 else a
         k = max(0, (count - 1).bit_length() - 6)
         head = -(-count >> k)
-        chain = [1]
-        while len(chain) < head:
-            chain.append(self.mul(chain[-1], a))
-        pts = np.empty(count, dtype=np.uint32)
-        pts[:head] = chain[:head]
-        size, step = head, self.mul(chain[-1], a)
+        pts = np.empty((len(bases), count), dtype=np.uint32)
+        steps = []
+        for row, base in zip(pts, bases):
+            chain = [1]
+            while len(chain) <= head:
+                chain.append(self.mul(chain[-1], base))
+            row[:head] = chain[:head]
+            steps.append(chain[head])
+        size = head
         while size < count:
             take = min(size, count - size)
-            pts[size : size + take] = self.scalar_mul_vec(step, pts[:take])
-            size, step = size + take, self.mul(step, step)
-        return pts
+            for row, tables in zip(pts, self._scalar_tables(steps)):
+                row[size : size + take] = self._linear_map(tables)(row[:take])
+            size, steps = size + take, [self.mul(s, s) for s in steps]
+        return pts if np.ndim(a) else pts[0]
 
-    def alpha_powers(self, count: int) -> np.ndarray:
-        """``powers`` of the pinned primitive element, cached for the last count asked."""
-        if self._alpha_powers is None or len(self._alpha_powers) != count:
-            self._alpha_powers = self.powers(self.primitive, count)
-        return self._alpha_powers
-
-    def _times_basis(self, c: int, count: int) -> list:
-        """c * x^j for j = 0 .. count - 1, by one shift-and-reduce chain."""
+    def _times_basis(self, c, count: int) -> list:
+        """c * x^j for j < count by shift-and-reduce; c is an element or a uint32 array."""
         images = []
         for _ in range(count):
             images.append(c)
-            c <<= 1
-            if c & self.order:
-                c ^= self.irreducible
+            c = c << 1
+            c ^= (c >> self.n) * self.irreducible
         return images
 
-    def _linear_map(self, images):
-        """The GF(2)-linear map sending x^j to images[j], on uint32 arrays.
-
-        An element is split into its low and high m bits; each half indexes
-        a table of its 2^m images, built by doubling, and the two are XORed.
-        """
-        tables = np.zeros((2, 1 << self.m), dtype=np.uint32)
-        halves = np.array(images, dtype=np.uint32).reshape(2, self.m, 1)
+    def _linear_maps(self, images) -> np.ndarray:
+        """(K, 2, 2^m) lo/hi tables of the K GF(2)-linear maps x^j -> images[j][k]
+        (images of shape (n, K), or (n,) for K = 1), each built by doubling."""
+        images = np.asarray(images, dtype=np.uint32).reshape(2, self.m, -1)
+        halves = images.transpose(2, 0, 1)[..., None]
+        tables = np.zeros((len(halves), 2, 1 << self.m), dtype=np.uint32)
         for j in range(self.m):
-            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ halves[:, j]
-        lo, hi = tables
-        mask, shift = np.uint32((1 << self.m) - 1), np.uint32(self.m)
-        return lambda arr: lo.take(arr & mask) ^ hi.take(arr >> shift)
+            np.bitwise_xor(tables[..., : 1 << j], halves[:, :, j], out=tables[..., 1 << j : 2 << j])
+        return tables
+
+    def _scalar_tables(self, scalars) -> np.ndarray:
+        """`_linear_maps` of x -> c * x for every c in the list ``scalars``."""
+        if len(scalars) < 32:  # below this, numpy's cost per call outweighs a loop of ints
+            images = np.array([self._times_basis(int(c), self.n) for c in scalars], np.uint32).T
+        else:
+            images = self._times_basis(np.array(scalars, dtype=np.uint32), self.n)
+        return self._linear_maps(images)
+
+    def _linear_map(self, tables: np.ndarray):
+        """The map of one table pair of `_linear_maps` on uint32 arrays: the low
+        m bits of an element index the first table, the high m bits the second."""
+        (lo, hi), low, m = tables, np.uint32((1 << self.m) - 1), np.uint32(self.m)
+        return lambda arr: lo.take(arr & low) ^ hi.take(arr >> m)
 
     def scalar_mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
         """c * arr for a single field element c."""
         if not 0 <= c < self.order:
             raise ValueError(f"scalar c={c} outside GF(2^{self.n})")
-        return self._linear_map(self._times_basis(c, self.n))(arr)
+        return self._linear_map(self._scalar_tables([c])[0])(arr)
 
     def sqr_vec(self, arr: np.ndarray) -> np.ndarray:
         """Elementwise square, through the cached tables of x^j -> x^(2j)."""
         if self._sqr is None:
-            self._sqr = self._linear_map(self._times_basis(1, 2 * self.n - 1)[::2])
+            squares = self._times_basis(1, 2 * self.n - 1)[::2]
+            self._sqr = self._linear_map(self._linear_maps(squares)[0])
         return self._sqr(arr)
 
     def pow_vec(self, arr: np.ndarray, k: int) -> np.ndarray:
@@ -289,26 +290,26 @@ class FieldCtx:
         """Cached uint8 array: absolute trace of every field element."""
         if self._trace_bits is None:
             images = [self.trace(1 << j) for j in range(self.n)]
-            self._trace_bits = self._linear_map(images)(self.domain()).astype(np.uint8)
+            lo, hi = self._linear_maps(images)[0].astype(np.uint8)
+            # at element hi * 2^m + lo, with no 2^n-point temporary
+            self._trace_bits = np.bitwise_xor.outer(hi, lo).ravel()
         return self._trace_bits
 
-    def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
-        """x^(2^m) + x, through cached tables: GF(2)-linear, zero exactly on GF(2^m)."""
+    def _subfield_residue(self, arr: np.ndarray = None) -> np.ndarray:
+        """x^(2^m) + x on arr (linear, zero exactly on GF(2^m)), or its cached tables."""
         if self._residue is None:
             basis = np.uint32(1) << np.arange(self.n, dtype=np.uint32)
-            frobenius = basis
-            for _ in range(self.m):
-                frobenius = self.sqr_vec(frobenius)
-            self._residue = self._linear_map(frobenius ^ basis)
-        return self._residue(arr)
+            self._residue = self._linear_maps(self.pow_vec(basis, 2**self.m) ^ basis)[0]
+        return self._residue if arr is None else self._linear_map(self._residue)(arr)
 
     def in_subfield(self, arr: np.ndarray) -> np.ndarray:
         """Bool array: which elements of arr lie in the subfield GF(2^m)."""
         return self._subfield_residue(arr) == 0
 
     def subfield_mask(self) -> np.ndarray:
-        """Bool array marking the subfield GF(2^m) inside GF(2^n)."""
-        return self.in_subfield(self.domain())
+        """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""
+        lo, hi = self._subfield_residue()
+        return np.equal.outer(hi, lo).ravel()
 
 
 def field_new(n: int) -> FieldCtx:

@@ -32,15 +32,13 @@ histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
 O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
 
-Every whole-field evaluation (brute, is_cpp, char_sum, the spectrum, and the
-gammas of the direct delta path) goes through ``_values_over_domain``.  A
-field with n <= 14 is one block, x = 1 .. 2^n - 1.  A larger field is walked
-in blocks of 2^14 consecutive powers of alpha: since (beta x)^d = beta^d x^d,
-only the first block is raised to powers, and each later block costs one
-scalar product per term plus one for the points it fills.  Only the 2^n
-output is whole-field.  ``brute`` marks the values it sees in a bool mask and
-looks for the first collision only on failure, sorting the shortest prefix
-(2^10, 2^12, ...) that holds a repeat.
+Every whole-field evaluation is ``_walk``: f block by block, in x order for
+n <= 14, else in blocks of 2^14 consecutive powers of alpha, where
+(beta x)^d = beta^d x^d makes each block one scalar per term times the
+first block and no `pow_vec` runs.  ``brute`` marks the blocks in a bool
+mask of the values seen, and the spectrum and char_sum read them as a
+multiset; only the brute witness and the direct-delta gammas need x order,
+through ``_values_over_domain``, which scatters the walk of f onto that of x.
 """
 
 from __future__ import annotations
@@ -109,38 +107,44 @@ class VerificationReport:
 _BLOCK = 1 << 14
 
 
-def _values_over_domain(poly: SparsePoly) -> np.ndarray:
-    """f(x) for every x in the field, as a uint32 array indexed by x.
-
-    Every exponent is >= 1, so f(0) = 0.  A field of at most ``_BLOCK``
-    nonzero points is one block, x = 1 .. 2^n - 1.  A larger one is walked
-    in blocks of consecutive powers of alpha: block k is alpha^(kB) * base,
-    base = alpha^0 .. alpha^(B - 1), and (alpha^(kB) x)^d = alpha^(kBd) x^d,
-    so only the base is raised to powers; every block scales those powers by
-    one scalar per term and scatters the sum to its points.
-    """
+def _walk(poly: SparsePoly):
+    """f on the nonzero points, block by block: one block x = 1 .. 2^n - 1 for
+    n <= 14, else block k holds f(alpha^(kB + i)) for i < B.  There a term
+    c x^d is c (alpha^d)^i, its first block, times alpha^(kBd): one table
+    build holds every such scalar, and a block costs two lookups per term."""
     ctx = poly.ctx
-    values = np.zeros(ctx.order, dtype=np.uint32)
     if ctx.mult_order <= _BLOCK:
-        out = values[1:]
+        out = np.zeros(ctx.mult_order, dtype=np.uint32)
         base = np.arange(1, ctx.order, dtype=np.uint32)
         for coeff, exp in poly.terms:
             powers = ctx.pow_vec(base, exp)
             out ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
-        return values
-    base = ctx.alpha_powers(_BLOCK)
-    first = [ctx.pow_vec(base, exp) for _, exp in poly.terms]
-    scales = [coeff for coeff, _ in poly.terms]
-    steps = [ctx.pow(ctx.primitive, _BLOCK * exp) for _, exp in poly.terms]
-    shift, shift_step = 1, ctx.pow(ctx.primitive, _BLOCK)
-    for lo in range(0, ctx.mult_order, _BLOCK):
-        size = min(_BLOCK, ctx.mult_order - lo)
-        out = np.zeros(size, dtype=np.uint32)
-        for scale, powers in zip(scales, first):
-            out ^= ctx.scalar_mul_vec(scale, powers[:size])
-        values[ctx.scalar_mul_vec(shift, base[:size])] = out
-        scales = [ctx.mul(scale, step) for scale, step in zip(scales, steps)]
-        shift = ctx.mul(shift, shift_step)
+        yield out
+        return
+    alpha, terms, blocks = ctx.primitive, len(poly.terms), -(-ctx.mult_order // _BLOCK)
+    firsts = ctx.powers([ctx.pow(alpha, exp) for _, exp in poly.terms], _BLOCK)
+    for row, tables in zip(firsts, ctx._scalar_tables([coeff for coeff, _ in poly.terms])):
+        row[:] = ctx._linear_map(tables)(row)
+    scalars = ctx.powers([ctx.pow(alpha, _BLOCK * exp) for _, exp in poly.terms], blocks)
+    # tables[k] holds every term's lo and hi table for block k, and index[t, h]
+    # points into the (t, h) one, so one take serves a whole block
+    tables = ctx._scalar_tables(scalars.T.ravel()).reshape(blocks, -1)
+    index = np.stack([firsts & ((1 << ctx.m) - 1), firsts >> ctx.m], axis=1)
+    index = index + (np.arange(2 * terms).reshape(terms, 2, 1) << ctx.m)
+    for k in range(blocks):
+        size = min(_BLOCK, ctx.mult_order - k * _BLOCK)
+        yield np.bitwise_xor.reduce(tables[k].take(index[..., :size]).reshape(-1, size), axis=0)
+
+
+def _values_over_domain(poly: SparsePoly, count: int = None) -> np.ndarray:
+    """f(x) for every x below count (default: all x), as a uint32 array indexed
+    by x: `_walk(f)` scattered onto the points `_walk(x)`.  f(0) = 0."""
+    values = np.zeros(count or poly.ctx.order, dtype=np.uint32)
+    for block, points in zip(_walk(poly), _walk(SparsePoly.make(poly.ctx, [(1, 1)]))):
+        if count:
+            keep = points < count
+            block, points = block[keep], points[keep]
+        values[points] = block
     return values
 
 
@@ -168,16 +172,26 @@ def _first_collision(values: np.ndarray) -> tuple:
 
 
 def is_permutation_brute(f: SparsePoly) -> VerificationReport:
-    """Exhaustive bijection test; witness is the first colliding input pair."""
+    """Exhaustive bijection test; witness is the first colliding input pair.
+    The verdict marks the blocks of `_walk(f)` in a mask of the values seen."""
     t0 = perf_counter()
     ctx = f.ctx
-    values = _values_over_domain(f)
     seen = np.zeros(ctx.order, dtype=bool)
-    seen[values] = True
-    if seen.all():
-        verdict, witness = True, None
-    else:
-        verdict, witness = False, _first_collision(values)
+    seen[0] = True
+    for k, block in enumerate(_walk(f)):
+        seen[block] = True
+        if k == 0 and np.count_nonzero(seen) <= len(block):
+            break  # a repeat inside the first block: the rest is not needed
+    verdict, witness = bool(seen.all()), None
+    if not verdict:
+        # a single block is f(1 .. 2^n - 1) in x order; on a larger field the
+        # first collision nearly always lies below x = 2^14
+        single = len(block) == ctx.mult_order
+        values = np.append(np.uint32(0), block) if single else _values_over_domain(f, _BLOCK)
+        try:
+            witness = _first_collision(values)
+        except ValueError:
+            witness = _first_collision(_values_over_domain(f))
     return VerificationReport("brute", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 
@@ -186,8 +200,8 @@ def char_sum(g: SparsePoly, gamma: int) -> int:
     ctx = g.ctx
     if not 0 <= gamma < ctx.order:
         raise ValueError(f"gamma 0x{gamma:x} outside GF(2^{ctx.n})")
-    scaled = ctx.scalar_mul_vec(gamma, _values_over_domain(g))
-    ones = int(ctx.trace_bits()[scaled].sum())
+    # x = 0 adds Tr(0) = 0, so the blocks of the walk suffice
+    ones = int(ctx.trace_bits()[ctx.scalar_mul_vec(gamma, np.concatenate([*_walk(g)]))].sum())
     return ctx.order - 2 * ones
 
 
@@ -201,7 +215,8 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
     bounded by 2^n, so the int64 butterfly is exact.
     """
     ctx = g.ctx
-    spectrum = np.bincount(_values_over_domain(g), minlength=ctx.order)
+    spectrum = np.bincount(np.concatenate([*_walk(g)]), minlength=ctx.order)
+    spectrum[0] += 1  # f(0) = 0
     h = 1
     while h < ctx.order:
         pairs = spectrum.reshape(-1, 2, h)
@@ -212,10 +227,8 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
         h *= 2
     # A sends x^i to sum_j Tr(x^(i+j)) << j; one trace per power x^0 .. x^(2n-2)
     traces = [ctx.trace(p) for p in ctx._times_basis(1, 2 * ctx.n - 1)]
-    form = ctx._linear_map(
-        [sum(traces[i + j] << j for j in range(ctx.n)) for i in range(ctx.n)]
-    )
-    return spectrum[form(ctx.domain())]
+    form = ctx._linear_maps([sum(traces[i + j] << j for j in range(ctx.n)) for i in range(ctx.n)])
+    return spectrum[np.bitwise_xor.outer(form[0, 1], form[0, 0]).ravel()]
 
 
 def is_pp_charsum(g: SparsePoly) -> VerificationReport:

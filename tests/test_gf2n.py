@@ -9,6 +9,7 @@ contain an element of multiplicative order 2^n - 1).
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,12 +297,26 @@ def test_powers_match_a_scalar_chain(ctx):
         assert got.tolist() == chain[:count]
 
 
-def test_alpha_powers_cached_per_count():
-    ctx = field_new(12)
-    block = ctx.alpha_powers(300)
-    assert ctx.alpha_powers(300) is block
-    assert block.tolist() == [ctx.pow(ctx.primitive, i) for i in range(300)]
-    assert ctx.alpha_powers(5).tolist() == block[:5].tolist()
+def test_powers_of_a_list_are_one_row_per_element(ctx):
+    rng = random.Random(8700 + ctx.n)
+    bases = [rng.randrange(2, ctx.order) for _ in range(3)]
+    rows = ctx.powers(bases, 300)
+    assert rows.shape == (3, 300)
+    for base, row in zip(bases, rows):
+        assert row.tolist() == ctx.powers(base, 300).tolist()
+    assert ctx.powers([], 300).shape == (0, 300)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 31, 32, 100])
+def test_scalar_tables_are_scalar_mul_vec(ctx, count):
+    # below and above the count where the basis images switch from ints to arrays
+    rng = random.Random(8800 + ctx.n + count)
+    scalars = [rng.randrange(ctx.order) for _ in range(count)]
+    sample = np.array(rng.sample(range(ctx.order), min(ctx.order, 64)), dtype=np.uint32)
+    tables = ctx._scalar_tables(scalars)
+    assert tables.shape == (count, 2, 2**ctx.m)
+    for c, pair in zip(scalars, tables):
+        assert ctx._linear_map(pair)(sample).tolist() == [ctx.mul(c, int(x)) for x in sample]
 
 
 def test_subfield_residue_is_frobenius_plus_identity(ctx):
@@ -411,3 +426,17 @@ def test_eval_sparse_zero_poly():
     ctx = field_new(4)
     p = SparsePoly.make(ctx, [])
     assert eval_sparse(p, 7) == 0
+
+
+def test_whole_domain_tables_peak_memory_at_n20():
+    for table in (FieldCtx.trace_bits, FieldCtx.subfield_mask):
+        ctx = field_new(20)
+        tracemalloc.start()
+        try:
+            out = table(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (ctx.order,) and out.itemsize == 1
+        # the 1 MiB result and two 2^m-entry tables; over the uint32 domain it was 24 MiB
+        assert peak <= 2 * 2**20

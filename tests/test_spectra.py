@@ -210,20 +210,79 @@ def test_values_over_domain_of_the_zero_polynomial(n):
     assert values.shape == (2**n,) and not values.any()
 
 
-def test_values_over_domain_raises_only_the_first_block_to_powers(monkeypatch):
-    f = SparsePoly.from_spec(field_new(20), "1:1,5:1043461,3:5")
-    elems = []
+def test_brute_at_n20_builds_tables_once_per_term_and_never_calls_pow_vec(monkeypatch):
+    builds = []
+    linear_maps = FieldCtx._linear_maps
+
+    def counted(ctx, images):
+        builds.append(1)
+        return linear_maps(ctx, images)
+
+    def no_pow_vec(ctx, arr, k):
+        raise AssertionError("pow_vec on a field of more than 2^14 points")
+
+    monkeypatch.setattr(FieldCtx, "_linear_maps", counted)
+    monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
+    for f in (gen_theorem1(make_niho(10, 0, 5, 1))[0].poly,
+              SparsePoly.from_spec(field_new(20), "2:1,2:4,1:16")):
+        builds.clear()
+        assert is_permutation_brute(f).verdict
+        # the first blocks' 8 doublings (`powers`), their coefficients and the block scalars
+        assert len(builds) <= len(f.terms) + 9
+
+
+def test_brute_on_a_small_field_evaluates_a_non_pp_once(monkeypatch):
+    f = SparsePoly.from_spec(field_new(10), "1:3,5:7")
+    calls = []
     pow_vec = FieldCtx.pow_vec
 
     def counted(ctx, arr, k):
-        elems.append(arr.size)
+        calls.append(k)
         return pow_vec(ctx, arr, k)
 
     monkeypatch.setattr(FieldCtx, "pow_vec", counted)
-    values = spectra._values_over_domain(f)
+    rep = is_permutation_brute(f)
     monkeypatch.undo()
-    assert sum(elems) <= spectra._BLOCK * len(f.terms)
-    assert np.array_equal(values, unblocked_values(f))
+    assert not rep.verdict and sorted(calls) == [3, 7]
+    assert rep.witness == argsort_first_collision(unblocked_values(f))
+
+
+def walk_cases(n):
+    """Polynomials at n >= 16 for the brute walk: PPs, collisions inside one
+    block of the walk, collisions only across blocks, and seeded random ones."""
+    ctx = field_new(n)
+    m, alpha = n // 2, ctx.primitive
+    cases = [
+        # x^4 + alpha x is linear with kernel {x : x^3 = alpha}: a PP, since alpha is no cube
+        SparsePoly.make(ctx, [(1, 4), (alpha, 1)]),
+        # x^(2^m + 1) repeats with period 2^m - 1 along the walk: inside every block
+        SparsePoly.make(ctx, [(alpha, 2**m + 1)]),
+        # x^3 repeats at distance (2^n - 1) / 3 > 2^14 along the walk: only across blocks
+        SparsePoly.make(ctx, [(1, 3)]),
+        # x^2 + beta x pairs x with x + beta, so its first collision (5, 2^(n-1)) lies
+        # above 2^14 in x order
+        SparsePoly.make(ctx, [(1, 2), (2 ** (n - 1) + 5, 1)]),
+    ]
+    if m % 2:
+        cases.append(gen_theorem1(make_niho(m, 0, 3, 1))[0].poly)
+    elif m == 10:
+        cases.append(gen_theorem1(make_niho(m, 0, 5, 1))[0].poly)
+    rng = random.Random(1600 + n)
+    for size in (1, 2, 3):
+        cases.append(SparsePoly.make(ctx, [(rng.randrange(1, ctx.order), rng.randrange(1, 16))
+                                           for _ in range(size)]))
+    return cases
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_brute_matches_unblocked_values_on_large_fields(n):
+    witnesses = []
+    for f in walk_cases(n):
+        witness = argsort_first_collision(unblocked_values(f))
+        rep = is_permutation_brute(f)
+        assert (rep.verdict, rep.witness) == (witness is None, witness), f.to_spec()
+        witnesses.append(witness)
+    assert None in witnesses and witnesses[3] == (5, 2 ** (n - 1))
 
 
 def test_brute_witness_is_first_collision_of_unblocked_values():
@@ -266,10 +325,13 @@ def test_brute_peak_memory_at_n20():
 
 
 def argsort_first_collision(values):
-    """The first collision by one stable argsort of the whole array."""
+    """The first collision by one stable argsort of the whole array, or None."""
     order = np.argsort(values, kind="stable")
     sv = values[order]
-    x2 = int(order[1:][sv[1:] == sv[:-1]].min())
+    repeats = order[1:][sv[1:] == sv[:-1]]
+    if not len(repeats):
+        return None
+    x2 = int(repeats.min())
     return int(np.flatnonzero(values == values[x2])[0]), x2
 
 

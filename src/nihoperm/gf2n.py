@@ -30,13 +30,15 @@ of each element XORed with one for the high m bits, each table holding
 2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once, and
 over the whole field a map is the outer XOR of its two tables.  The product
 of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit
-loop.  No log/antilog tables are used anywhere.  Whole-field evaluation
-(`spectra._walk`) runs `pow_vec` only on fields of at most 2^14 points.
+loop.  No log/antilog tables are used anywhere.  `pow_vec` runs at every n
+on evaluation in x order, but the walk above n = 14 needs none.  The public
+kernels raise a ValueError naming any element outside the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -86,7 +88,6 @@ class FieldCtx:
         self.irreducible = irreducible
         self.primitive = primitive
         self._domain = None
-        self._sqr = None
         self._trace_bits = None
         self._residue = None
 
@@ -175,10 +176,6 @@ class FieldCtx:
             acc ^= t
         return acc
 
-    def enumerate(self):
-        """All field elements in increasing integer order."""
-        return range(self.order)
-
     # -- vectorized arithmetic on uint32 arrays ---------------------------
 
     def domain(self) -> np.ndarray:
@@ -187,10 +184,23 @@ class FieldCtx:
             self._domain = np.arange(self.order, dtype=np.uint32)
         return self._domain
 
+    def _elements(self, arr) -> np.ndarray:
+        """arr as an array of field elements, else a ValueError naming n and an outsider."""
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"field elements must be integers, got dtype {arr.dtype}")
+        if arr.size and (arr.max() >= self.order or arr.dtype.kind == "i" and arr.min() < 0):
+            bad = int(arr[(arr < 0) | (arr >= self.order)][0])
+            raise ValueError(f"element {bad} (0x{bad:x}) outside GF(2^{self.n})")
+        return arr
+
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements."""
-        a = a.astype(np.uint32, copy=True)
-        b = b.astype(np.uint32, copy=True)
+        return self._mul_vec(self._elements(a), self._elements(b))
+
+    def _mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """`mul_vec` on arrays from the field, unchecked: the shift-and-reduce loop."""
+        a, b = a.astype(np.uint32), b.astype(np.uint32)
         p = np.zeros_like(a)
         irr = np.uint32(self.irreducible)
         for _ in range(self.n):
@@ -260,30 +270,31 @@ class FieldCtx:
         """c * arr for a single field element c."""
         if not 0 <= c < self.order:
             raise ValueError(f"scalar c={c} outside GF(2^{self.n})")
-        return self._linear_map(self._scalar_tables([c])[0])(arr)
+        return self._linear_map(self._scalar_tables([c])[0])(self._elements(arr))
+
+    @cached_property
+    def _square(self):
+        """x -> x^2 on arrays from the field, unchecked: tables of x^j -> x^(2j)."""
+        squares = self._times_basis(1, 2 * self.n - 1)[::2]
+        return self._linear_map(self._linear_maps(squares)[0])
 
     def sqr_vec(self, arr: np.ndarray) -> np.ndarray:
         """Elementwise square, through the cached tables of x^j -> x^(2j)."""
-        if self._sqr is None:
-            squares = self._times_basis(1, 2 * self.n - 1)[::2]
-            self._sqr = self._linear_map(self._linear_maps(squares)[0])
-        return self._sqr(arr)
+        return self._square(self._elements(arr))
 
     def pow_vec(self, arr: np.ndarray, k: int) -> np.ndarray:
         """Elementwise arr**k for k >= 0 (same 0-versus-2^n-1 care as pow)."""
         if k < 0:
             raise ValueError("pow_vec requires k >= 0; reduce negative exponents first")
+        base = self._elements(arr).astype(np.uint32, copy=False)
         if k == 0:
-            return np.ones_like(arr)
-        k = canonical_exponent(k, self.n)
-        base = arr.astype(np.uint32, copy=False)
-        result = None
-        while k:
-            if k & 1:
-                result = base.copy() if result is None else self.mul_vec(result, base)
-            k >>= 1
-            if k:
-                base = self.sqr_vec(base)
+            return np.ones_like(base)
+        # left to right over the bits of k: square, then multiply on a 1
+        result = base.copy()
+        for bit in bin(canonical_exponent(k, self.n))[3:]:
+            result = self._square(result)
+            if bit == "1":
+                result = self._mul_vec(result, base)
         return result
 
     def trace_bits(self) -> np.ndarray:
@@ -304,7 +315,7 @@ class FieldCtx:
 
     def in_subfield(self, arr: np.ndarray) -> np.ndarray:
         """Bool array: which elements of arr lie in the subfield GF(2^m)."""
-        return self._subfield_residue(arr) == 0
+        return self._subfield_residue(self._elements(arr)) == 0
 
     def subfield_mask(self) -> np.ndarray:
         """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""

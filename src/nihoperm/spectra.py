@@ -32,13 +32,13 @@ histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
 O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
 
-Every whole-field evaluation is ``_walk``: f block by block, in x order for
+The one whole-field pass is ``_walk``: f block by block, in x order for
 n <= 14, else in blocks of 2^14 consecutive powers of alpha, where
-(beta x)^d = beta^d x^d makes each block one scalar per term times the
-first block and no `pow_vec` runs.  ``brute`` marks the blocks in a bool
-mask of the values seen, and the spectrum and char_sum read them as a
-multiset; only the brute witness and the direct-delta gammas need x order,
-through ``_values_over_domain``, which scatters the walk of f onto that of x.
+(beta x)^d = beta^d x^d makes each block one scalar per term times the first
+block.  ``brute`` marks the blocks in a mask of the values seen; the spectrum
+and char_sum read them as a multiset.  Witnesses need x order, so
+``_values_over_domain`` evaluates f at the points asked for: the prefixes of
+a failing brute, and the deltas of ``_first_delta``, the one delta search.
 """
 
 from __future__ import annotations
@@ -114,12 +114,7 @@ def _walk(poly: SparsePoly):
     build holds every such scalar, and a block costs two lookups per term."""
     ctx = poly.ctx
     if ctx.mult_order <= _BLOCK:
-        out = np.zeros(ctx.mult_order, dtype=np.uint32)
-        base = np.arange(1, ctx.order, dtype=np.uint32)
-        for coeff, exp in poly.terms:
-            powers = ctx.pow_vec(base, exp)
-            out ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
-        yield out
+        yield _values_over_domain(poly, np.arange(1, ctx.order, dtype=np.uint32))
         return
     alpha, terms, blocks = ctx.primitive, len(poly.terms), -(-ctx.mult_order // _BLOCK)
     firsts = ctx.powers([ctx.pow(alpha, exp) for _, exp in poly.terms], _BLOCK)
@@ -136,44 +131,40 @@ def _walk(poly: SparsePoly):
         yield np.bitwise_xor.reduce(tables[k].take(index[..., :size]).reshape(-1, size), axis=0)
 
 
-def _values_over_domain(poly: SparsePoly, count: int = None) -> np.ndarray:
-    """f(x) for every x below count (default: all x), as a uint32 array indexed
-    by x: `_walk(f)` scattered onto the points `_walk(x)`.  f(0) = 0."""
-    values = np.zeros(count or poly.ctx.order, dtype=np.uint32)
-    for block, points in zip(_walk(poly), _walk(SparsePoly.make(poly.ctx, [(1, 1)]))):
-        if count:
-            keep = points < count
-            block, points = block[keep], points[keep]
-        values[points] = block
-    return values
+def _values_over_domain(poly: SparsePoly, xs: np.ndarray) -> np.ndarray:
+    """f at the uint32 points xs, in their order: per chunk of _BLOCK points,
+    one `pow_vec` and one `scalar_mul_vec` per term, XORed.  f(0) = 0."""
+    ctx = poly.ctx
+    out = np.zeros(len(xs), dtype=np.uint32)
+    for lo in range(0, len(xs), _BLOCK):
+        for coeff, exp in poly.terms:
+            powers = ctx.pow_vec(xs[lo : lo + _BLOCK], exp)
+            out[lo : lo + _BLOCK] ^= powers if coeff == 1 else ctx.scalar_mul_vec(coeff, powers)
+    return out
 
 
-def _first_collision(values: np.ndarray) -> tuple:
-    """Lowest x2 such that values[x2] repeats an earlier value, with that x1.
-
-    Matches a sequential scan that stops at the first repeated output.  The
-    search sorts a prefix that grows fourfold from 2^10 until it holds a
-    repeat; the first repeat of the whole array lies in any such prefix.
-    Raises ValueError when no value repeats.
-    """
+def _first_collision(at, order: int) -> tuple:
+    """Lowest x2 < order such that at(x2) repeats some at(x1), x1 < x2, with that x1,
+    as a sequential scan finds it; ``at`` gives the values at a uint32 array of
+    points.  It sorts the values at x < 2^10, 2^12, ... until a prefix holds a
+    repeat, and raises ValueError when no value repeats."""
     size = 1 << 10
     while True:
-        prefix = values[:size]
-        order = np.argsort(prefix, kind="stable")
-        sv = prefix[order]
-        repeats = order[1:][sv[1:] == sv[:-1]]
-        if len(repeats):
-            x2 = int(repeats.min())
-            x1 = int(np.flatnonzero(prefix[:x2] == prefix[x2])[0])
-            return x1, x2
-        if size >= len(values):
-            raise ValueError(f"no value repeats among the {len(values)} values")
+        prefix = at(np.arange(min(size, order), dtype=np.uint32))
+        repeat = np.ones(len(prefix), dtype=bool)
+        repeat[np.unique(prefix, return_index=True)[1]] = False  # first occurrences
+        if repeat.any():
+            x2 = int(repeat.argmax())
+            return int(np.flatnonzero(prefix == prefix[x2])[0]), x2
+        if size >= order:
+            raise ValueError(f"no value repeats among the {order} values")
         size *= 4
 
 
 def is_permutation_brute(f: SparsePoly) -> VerificationReport:
     """Exhaustive bijection test; witness is the first colliding input pair.
-    The verdict marks the blocks of `_walk(f)` in a mask of the values seen."""
+    The verdict marks the blocks of `_walk(f)` in a mask of the values seen;
+    only a failure evaluates f in x order, on the shortest prefix that repeats."""
     t0 = perf_counter()
     ctx = f.ctx
     seen = np.zeros(ctx.order, dtype=bool)
@@ -184,14 +175,10 @@ def is_permutation_brute(f: SparsePoly) -> VerificationReport:
             break  # a repeat inside the first block: the rest is not needed
     verdict, witness = bool(seen.all()), None
     if not verdict:
-        # a single block is f(1 .. 2^n - 1) in x order; on a larger field the
-        # first collision nearly always lies below x = 2^14
-        single = len(block) == ctx.mult_order
-        values = np.append(np.uint32(0), block) if single else _values_over_domain(f, _BLOCK)
-        try:
-            witness = _first_collision(values)
-        except ValueError:
-            witness = _first_collision(_values_over_domain(f))
+        # a single block is f(1 .. 2^n - 1) in x order, so its prefixes are slices
+        at = (np.append(np.uint32(0), block).take if len(block) == ctx.mult_order
+              else lambda xs: _values_over_domain(f, xs))
+        witness = _first_collision(at, ctx.order)
     return VerificationReport("brute", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 
@@ -233,12 +220,11 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
 
 def is_pp_charsum(g: SparsePoly) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
-    ctx = g.ctx
     t0 = perf_counter()
     failing = np.flatnonzero(_char_spectrum(g)[1:])
-    verdict = len(failing) == 0
-    witness = None if verdict else 1 + int(failing[0])
-    return VerificationReport("charsum", verdict, witness, perf_counter() - t0, ctx.field_spec())
+    witness = 1 + int(failing[0]) if len(failing) else None
+    return VerificationReport("charsum", witness is None, witness, perf_counter() - t0,
+                              g.ctx.field_spec())
 
 
 def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False):
@@ -262,10 +248,10 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
     The path is :func:`delta_path`'s.  When every exponent is congruent to the
     pivot mod 2^m - 1 the per-delta sum depends only on the class of delta
     mod 2^m + 1, and :func:`_circle_counts` gives every class at once (engine
-    "niho", about (2^m + 1)^2 array work; the witness search costs about the
-    witness itself).  Otherwise, or under ``force_direct``, every sum
-    is read off the character spectrum of f over the whole field (engine
-    "delta_criterion", one Walsh-Hadamard transform: cost n 2^n).
+    "niho", about (2^m + 1)^2 array work).  Otherwise, or under
+    ``force_direct``, every sum is read off the character spectrum of f over
+    the whole field (engine "delta_criterion", one Walsh-Hadamard transform:
+    cost n 2^n).  On both paths the witness search costs about the witness.
     """
     t0 = perf_counter()
     ctx = f.ctx
@@ -277,7 +263,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
         )
 
     c1, d1 = f.terms[pivot]
-    verdict, witness = True, None
+    witness = None
     if engine == "niho":
         # Dividing by the pivot coefficient does not change whether f permutes.
         ic = ctx.inv(c1)
@@ -290,15 +276,17 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
                                 [(d1 - e) % ctx.mult_order // step for _, e in rest])
         failing = np.array(circle.elements, dtype=np.uint32)[counts != 1]
         if len(failing):
-            verdict, witness = False, _first_delta_onto(ctx, failing)
+            witness = _first_delta(ctx, lambda ds: np.isin(ctx.pow_vec(ds, step), failing))
     else:
         # x -> x/delta turns the sum at delta into the character sum of f at
-        # gamma = delta^d1 / c1, so every delta reads one spectrum
-        gammas = _values_over_domain(SparsePoly.make(ctx, [(ctx.inv(c1), d1)]))[1:]
-        failing = np.flatnonzero(_char_spectrum(f)[gammas])
-        if len(failing):
-            verdict, witness = False, 1 + int(failing[0])
-    return VerificationReport(engine, verdict, witness, perf_counter() - t0, ctx.field_spec())
+        # gamma = delta^d1 / c1, and as delta runs over the nonzero elements so
+        # does gamma (d1 is coprime to 2^n - 1): the verdict is the spectrum's
+        spectrum = _char_spectrum(f)
+        if spectrum[1:].any():
+            g = SparsePoly.make(ctx, [(ctx.inv(c1), d1)])
+            witness = _first_delta(ctx, lambda ds: spectrum[_values_over_domain(g, ds)] != 0)
+    return VerificationReport(engine, witness is None, witness, perf_counter() - t0,
+                              ctx.field_spec())
 
 
 def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
@@ -323,14 +311,14 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     return np.resize((h == 0).sum(axis=1), M)
 
 
-def _first_delta_onto(ctx: FieldCtx, points: np.ndarray) -> int:
-    """Smallest delta >= 1 with delta^(2^m - 1) in ``points`` (circle points),
-    searched in blocks of doubling size from 2^m + 1: each point has 2^m - 1
-    such deltas, so the cost follows the answer rather than 2^n."""
+def _first_delta(ctx: FieldCtx, fails) -> int:
+    """Smallest delta >= 1 that fails, where ``fails`` maps a uint32 block of
+    deltas to a bool array; searched in blocks of doubling size from 2^m + 1,
+    so the cost follows the answer rather than 2^n.  Some delta must fail."""
     lo, size = 1, 2**ctx.m + 1
     while True:
         block = np.arange(lo, min(lo + size, ctx.order), dtype=np.uint32)
-        hits = np.flatnonzero(np.isin(ctx.pow_vec(block, 2**ctx.m - 1), points))
+        hits = np.flatnonzero(fails(block))
         if len(hits):
             return lo + int(hits[0])
         lo, size = lo + size, 2 * size

@@ -202,9 +202,9 @@ def test_trace_tower_exact():
 
 
 def test_enumerate(ctx):
-    elems = list(ctx.enumerate())
-    assert len(elems) == ctx.order
-    assert elems[0] == 0 and elems[-1] == ctx.order - 1
+    # the domain array is every element in increasing integer order
+    assert ctx.domain().dtype == np.uint32
+    assert ctx.domain().tolist() == list(range(ctx.order))
 
 
 def test_field_spec_shape(ctx):
@@ -323,6 +323,34 @@ def test_subfield_residue_is_frobenius_plus_identity(ctx):
     sample = random.Random(9500 + ctx.n).sample(range(ctx.order), min(64, ctx.order))
     got = ctx._subfield_residue(np.array(sample, dtype=np.uint32))
     assert got.tolist() == [ctx.pow(x, 2**ctx.m) ^ x for x in sample]
+
+
+KERNELS = {
+    "mul_vec": lambda ctx, arr: ctx.mul_vec(np.ones_like(arr), arr),
+    "mul_vec_first": lambda ctx, arr: ctx.mul_vec(arr, np.ones_like(arr)),
+    "sqr_vec": lambda ctx, arr: ctx.sqr_vec(arr),
+    "pow_vec": lambda ctx, arr: ctx.pow_vec(arr, 3),
+    "scalar_mul_vec": lambda ctx, arr: ctx.scalar_mul_vec(5, arr),
+    "in_subfield": lambda ctx, arr: ctx.in_subfield(arr),
+}
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@pytest.mark.parametrize("n", [10, 20])
+def test_kernels_reject_elements_outside_the_field(kernel, n):
+    ctx = field_new(n)
+    run = KERNELS[kernel]
+    # the element 2^n, and a negative one in a signed array
+    for arr, bad in ((np.arange(ctx.order + 1, dtype=np.uint32), ctx.order),
+                     (np.array([3, -2, 1], dtype=np.int64), -2)):
+        with pytest.raises(ValueError, match=rf"element {bad} .*outside GF\(2\^{n}\)"):
+            run(ctx, arr)
+    with pytest.raises(ValueError, match="integers"):
+        run(ctx, np.array([1.0, 2.0]))
+    # in-field arrays of either integer kind, and empty ones, still work
+    for arr in (np.arange(ctx.order, dtype=np.uint32)[-5:], np.array([0, 1, 7], dtype=np.int64),
+                np.zeros(0, dtype=np.uint32)):
+        assert len(run(ctx, arr)) == len(arr)
 
 
 def test_trace_bits_and_subfield_mask(ctx):

@@ -67,7 +67,7 @@ def char_sum_oracle(g, gamma):
 def charsum_loop(g):
     """Per-gamma reference for is_pp_charsum: (verdict, first failing gamma)."""
     ctx = g.ctx
-    values = spectra._values_over_domain(g)
+    values = spectra._values_over_domain(g, ctx.domain())
     tb = ctx.trace_bits()
     for gamma in range(1, ctx.order):
         if 2 * int(tb[ctx.scalar_mul_vec(gamma, values)].sum()) != ctx.order:
@@ -194,20 +194,31 @@ def test_values_over_domain_across_block_boundaries():
                             + [(rng.randrange(2, ctx.order), rng.randrange(2, ctx.order))
                                for _ in range(2)])
         assert len(f.terms) == 4
-        values = spectra._values_over_domain(f)
-        # block k holds alpha^(kB) .. alpha^(kB + B - 1); check both sides of the
-        # first and the last boundary, and the last point alpha^(2^n - 2)
+        walk = np.concatenate([*spectra._walk(f)])
+        # walk block k holds f at alpha^(kB) .. alpha^(kB + B - 1); check both sides
+        # of the first and the last boundary, and the last point alpha^(2^n - 2)
         last = (ctx.mult_order - 1) // B
-        exps = [k * B + j for k in (1, last) for j in (-1, 0)] + [ctx.mult_order - 1]
-        for x in [0] + [ctx.pow(ctx.primitive, i) for i in exps]:
-            assert int(values[x]) == f.eval(x)
-        assert np.array_equal(values, unblocked_values(f))
+        exps = [0] + [k * B + j for k in (1, last) for j in (-1, 0)] + [ctx.mult_order - 1]
+        for i in exps:
+            assert int(walk[i]) == f.eval(ctx.pow(ctx.primitive, i))
+        expected = unblocked_values(f)
+        assert np.array_equal(walk, expected[ctx.powers(ctx.primitive, ctx.mult_order)])
+        # the x-order kernel works in chunks of B points: across two chunk edges,
+        # and at single points
+        xs = ctx.domain()[B - 5 : 3 * B + 5]
+        assert np.array_equal(spectra._values_over_domain(f, xs), expected[xs])
+        xs = np.array([0, B - 1, B, ctx.mult_order], dtype=np.uint32)
+        assert spectra._values_over_domain(f, xs).tolist() == [f.eval(int(x)) for x in xs]
 
 
 @pytest.mark.parametrize("n", [4, 14, 16, 20])
 def test_values_over_domain_of_the_zero_polynomial(n):
-    values = spectra._values_over_domain(SparsePoly.make(field_new(n), []))
+    ctx = field_new(n)
+    zero = SparsePoly.make(ctx, [])
+    values = spectra._values_over_domain(zero, ctx.domain())
     assert values.shape == (2**n,) and not values.any()
+    walk = np.concatenate([*spectra._walk(zero)])
+    assert walk.shape == (2**n - 1,) and not walk.any()
 
 
 def test_brute_at_n20_builds_tables_once_per_term_and_never_calls_pow_vec(monkeypatch):
@@ -298,14 +309,47 @@ def test_brute_witness_is_first_collision_of_unblocked_values():
 
 def test_values_over_domain_peak_memory_at_n20():
     f = SparsePoly.from_spec(field_new(20), "1:1,5:1043461,3:5")
+    xs = f.ctx.domain()
     tracemalloc.start()
     try:
-        spectra._values_over_domain(f)
+        spectra._values_over_domain(f, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the 4 MiB output plus the arrays of one block; a whole-domain chain needs about 40 MiB
     assert peak <= 12 * 2**20
+
+
+def counted_walks(monkeypatch):
+    """A list that grows by one entry per call of spectra._walk."""
+    calls = []
+    walk = spectra._walk
+
+    def counted(poly):
+        calls.append(poly)
+        return walk(poly)
+
+    monkeypatch.setattr(spectra, "_walk", counted)
+    return calls
+
+
+def test_failing_brute_at_n20_walks_once(monkeypatch):
+    # x^3 repeats only across blocks of the walk; its first collision lies below x = 2^14
+    f = SparsePoly.make(field_new(20), [(1, 3)])
+    walks = counted_walks(monkeypatch)
+    rep = is_permutation_brute(f)
+    assert not rep.verdict and rep.witness[1] < 2**14
+    assert f.eval(rep.witness[0]) == f.eval(rep.witness[1])
+    assert len(walks) == 1
+
+
+def test_direct_delta_on_a_pp_walks_once(monkeypatch):
+    ctx = field_new(16)
+    f = SparsePoly.make(ctx, [(1, 4), (ctx.primitive, 1)])  # alpha is no cube: a PP
+    walks = counted_walks(monkeypatch)
+    rep = is_pp_delta_criterion(f, force_direct=True)
+    assert (rep.engine, rep.verdict, rep.witness) == ("delta_criterion", True, None)
+    assert len(walks) == 1
 
 
 def test_brute_peak_memory_at_n20():
@@ -340,14 +384,24 @@ def argsort_first_collision(values):
 def test_first_collision_matches_argsort(x1, x2):
     values = np.random.default_rng(x2).permutation(2**16).astype(np.uint32)
     values[x2] = values[x1]
-    assert spectra._first_collision(values) == argsort_first_collision(values) == (x1, x2)
+    asked = []
+
+    def at(xs):
+        asked.append(len(xs))
+        return values[xs]
+
+    witness = spectra._first_collision(at, len(values))
+    assert witness == argsort_first_collision(values) == (x1, x2)
+    # prefixes grow fourfold from 2^10 and stop at the first that holds x2
+    assert asked == [min(4**k << 10, len(values)) for k in range(len(asked))]
+    assert asked[-1] > x2 and (len(asked) == 1 or asked[-2] <= x2)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2**10, 2**10 + 1, 2**12])
 def test_first_collision_without_a_repeat_raises(size):
     values = np.arange(size, dtype=np.uint32)[::-1].copy()
     with pytest.raises(ValueError, match="no value repeats"):
-        spectra._first_collision(values)
+        spectra._first_collision(values.take, size)
 
 
 # -- character-sum engine --------------------------------------------------------
@@ -406,7 +460,7 @@ def test_char_spectrum_parseval():
         ctx = field_new(n)
         for f in [SparsePoly.make(ctx, [])] + [random_poly(ctx, rng) for _ in range(4)]:
             spectrum = spectra._char_spectrum(f)
-            hist = np.bincount(spectra._values_over_domain(f), minlength=ctx.order)
+            hist = np.bincount(spectra._values_over_domain(f, ctx.domain()), minlength=ctx.order)
             assert int((spectrum**2).sum()) == ctx.order * int((hist**2).sum())
 
 

@@ -30,9 +30,9 @@ of each element XORed with one for the high m bits, each table holding
 2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once, and
 over the whole field a map is the outer XOR of its two tables.  The product
 of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit
-loop.  No log/antilog tables are used anywhere.  `pow_vec` runs at every n
-on evaluation in x order, but the walk above n = 14 needs none.  The public
-kernels raise a ValueError naming any element outside the field.
+loop.  No log/antilog tables are used anywhere; `pow_vec` serves only the
+witness searches.  Public scalar ops and kernels raise a ValueError naming any
+element outside the field; their inner loops (`_mul`, `_mul_vec`) do not check.
 """
 
 from __future__ import annotations
@@ -118,8 +118,18 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
+    def _element(self, a: int) -> int:
+        """a, else a ValueError naming n and a: the check of every public scalar op."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"element {a} (0x{a:x}) outside GF(2^{self.n})")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        """Shift-and-reduce product of two field elements."""
+        """Product of two field elements."""
+        return self._mul(self._element(a), self._element(b))
+
+    def _mul(self, a: int, b: int) -> int:
+        """`mul` on elements of the field, unchecked: shift and reduce."""
         p = 0
         top = 1 << self.n
         while b:
@@ -132,7 +142,7 @@ class FieldCtx:
         return p
 
     def sqr(self, a: int) -> int:
-        return self.mul(a, a)
+        return self._mul(self._element(a), a)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse, via a^(2^n - 2)."""
@@ -146,6 +156,10 @@ class FieldCtx:
         0**0 = 1, 0**k = 0 for k > 0, and negative k inverts first
         (so 0 with negative k is an error).
         """
+        return self._pow(self._element(a), k)
+
+    def _pow(self, a: int, k: int) -> int:
+        """`pow` on an element of the field, unchecked."""
         if a == 0:
             if k == 0:
                 return 1
@@ -157,8 +171,8 @@ class FieldCtx:
         base = a
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._mul(result, base)
+            base = self._mul(base, base)
             k >>= 1
         return result
 
@@ -168,11 +182,10 @@ class FieldCtx:
             raise ValueError(f"sub_m={sub_m} must be >= 1")
         if self.n % sub_m != 0:
             raise ValueError(f"sub_m={sub_m} does not divide n={self.n}")
-        acc = a
-        t = a
+        acc = t = self._element(a)
         for _ in range(self.n // sub_m - 1):
             for _ in range(sub_m):
-                t = self.mul(t, t)
+                t = self._mul(t, t)
             acc ^= t
         return acc
 
@@ -190,8 +203,7 @@ class FieldCtx:
         if arr.dtype.kind not in "iu":
             raise ValueError(f"field elements must be integers, got dtype {arr.dtype}")
         if arr.size and (arr.max() >= self.order or arr.dtype.kind == "i" and arr.min() < 0):
-            bad = int(arr[(arr < 0) | (arr >= self.order)][0])
-            raise ValueError(f"element {bad} (0x{bad:x}) outside GF(2^{self.n})")
+            self._element(int(arr[(arr < 0) | (arr >= self.order)][0]))
         return arr
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,27 +222,30 @@ class FieldCtx:
             a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
         return p
 
-    def powers(self, a, count: int) -> np.ndarray:
-        """a^0 .. a^(count - 1) as a uint32 array, or one row per element of a list a:
-        a chain of ``mul`` gives the first ceil(count / 2^k) <= 64 powers and k
-        doublings pts[s : 2s] = a^s * pts[:s] the rest, one table build each."""
+    def powers(self, a, count: int, start=1) -> np.ndarray:
+        """start * a^i for i < count as a uint32 array, or a row per element of a list a
+        (and of start, if a list): a chain of ``mul`` gives the first ceil(count / 2^k)
+        <= 8, and k doublings pts[s : 2s] = a^s * pts[:s] the rest, tables from one build."""
         bases = [a] if np.ndim(a) == 0 else a
-        k = max(0, (count - 1).bit_length() - 6)
+        k = max(0, (count - 1).bit_length() - 3)
         head = -(-count >> k)
         pts = np.empty((len(bases), count), dtype=np.uint32)
         steps = []
-        for row, base in zip(pts, bases):
-            chain = [1]
-            while len(chain) <= head:
-                chain.append(self.mul(chain[-1], base))
+        for row, base, first in zip(pts, bases, np.broadcast_to(start, len(bases)).tolist()):
+            chain = [self._element(first)]
+            self._element(base)
+            while len(chain) < head:
+                chain.append(self._mul(chain[-1], base))
             row[:head] = chain[:head]
-            steps.append(chain[head])
-        size = head
-        while size < count:
+            steps.append(self._pow(base, head))
+        for _ in range(1, k):  # doubling j multiplies by a^(head 2^j)
+            steps += [self._mul(s, s) for s in steps[-len(bases) :]]
+        size, tables = head, self._scalar_tables(steps[: k * len(bases)])
+        for maps in tables.reshape(k, len(bases), 2, 1 << self.m):
             take = min(size, count - size)
-            for row, tables in zip(pts, self._scalar_tables(steps)):
-                row[size : size + take] = self._linear_map(tables)(row[:take])
-            size, steps = size + take, [self.mul(s, s) for s in steps]
+            for row, pair in zip(pts, maps):
+                row[size : size + take] = self._linear_map(pair)(row[:take])
+            size += take
         return pts if np.ndim(a) else pts[0]
 
     def _times_basis(self, c, count: int) -> list:
@@ -395,7 +410,8 @@ class SparsePoly:
 def eval_sparse(poly: SparsePoly, x: int) -> int:
     """Evaluate a sparse polynomial at one point with scalar ops."""
     ctx = poly.ctx
+    ctx._element(x)
     acc = 0
     for coeff, exp in poly.terms:
-        acc ^= ctx.mul(coeff, ctx.pow(x, exp))
+        acc ^= ctx._mul(coeff, ctx._pow(x, exp))
     return acc

@@ -32,13 +32,13 @@ histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
 O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
 
-The one whole-field pass is ``_walk``: f block by block, in x order for
-n <= 14, else in blocks of 2^14 consecutive powers of alpha, where
-(beta x)^d = beta^d x^d makes each block one scalar per term times the first
-block.  ``brute`` marks the blocks in a mask of the values seen; the spectrum
-and char_sum read them as a multiset.  Witnesses need x order, so
-``_values_over_domain`` evaluates f at the points asked for: the prefixes of
-a failing brute, and the deltas of ``_first_delta``, the one delta search.
+The one whole-field pass is ``_walk``: f in blocks of min(2^14, 2^n - 1) consecutive
+powers of alpha.  A term's share of the first block is a run of powers, and
+(beta x)^d = beta^d x^d makes each later block that run times one scalar, so no
+exponent is raised by square-and-multiply.  ``brute`` marks the blocks in a mask of
+the values seen; the spectrum and char_sum read them as a multiset.  Witnesses need
+x order, so ``_values_over_domain`` evaluates f by `pow_vec` at the points asked for:
+the prefixes of a failing brute, and the deltas of ``_first_delta``, the one delta search.
 """
 
 from __future__ import annotations
@@ -102,33 +102,30 @@ class VerificationReport:
         return out
 
 
-# Points per block of a whole-field evaluation: the arrays of one block stay in
-# cache, and every field with n <= 14 is a single block.
+# Points per block of the walk, so every field with n <= 14 is one block: its arrays stay in cache.
 _BLOCK = 1 << 14
 
 
 def _walk(poly: SparsePoly):
-    """f on the nonzero points, block by block: one block x = 1 .. 2^n - 1 for
-    n <= 14, else block k holds f(alpha^(kB + i)) for i < B.  There a term
-    c x^d is c (alpha^d)^i, its first block, times alpha^(kBd): one table
-    build holds every such scalar, and a block costs two lookups per term."""
+    """f on the nonzero points in blocks of B = min(_BLOCK, 2^n - 1) consecutive powers
+    of alpha: block k holds f(alpha^(kB + i)) for i < B.  Block 0 sums the runs c (alpha^d)^i
+    of the terms c x^d, and block k scales each run by alpha^(kBd): one table build holds
+    every such scalar, and a block costs two lookups per term."""
     ctx = poly.ctx
-    if ctx.mult_order <= _BLOCK:
-        yield _values_over_domain(poly, np.arange(1, ctx.order, dtype=np.uint32))
-        return
-    alpha, terms, blocks = ctx.primitive, len(poly.terms), -(-ctx.mult_order // _BLOCK)
-    firsts = ctx.powers([ctx.pow(alpha, exp) for _, exp in poly.terms], _BLOCK)
-    for row, tables in zip(firsts, ctx._scalar_tables([coeff for coeff, _ in poly.terms])):
-        row[:] = ctx._linear_map(tables)(row)
-    scalars = ctx.powers([ctx.pow(alpha, _BLOCK * exp) for _, exp in poly.terms], blocks)
-    # tables[k] holds every term's lo and hi table for block k, and index[t, h]
+    size = min(_BLOCK, ctx.mult_order)
+    alpha, terms, blocks = ctx.primitive, len(poly.terms), -(-ctx.mult_order // size)
+    firsts = ctx.powers([ctx.pow(alpha, exp) for _, exp in poly.terms], size,
+                        [coeff for coeff, _ in poly.terms])
+    yield np.bitwise_xor.reduce(firsts, axis=0)
+    scalars = ctx.powers([ctx.pow(alpha, size * exp) for _, exp in poly.terms], blocks)[:, 1:]
+    # tables[k - 1] holds every term's lo and hi table for block k, and index[t, h]
     # points into the (t, h) one, so one take serves a whole block
-    tables = ctx._scalar_tables(scalars.T.ravel()).reshape(blocks, -1)
-    index = np.stack([firsts & ((1 << ctx.m) - 1), firsts >> ctx.m], axis=1)
-    index = index + (np.arange(2 * terms).reshape(terms, 2, 1) << ctx.m)
-    for k in range(blocks):
-        size = min(_BLOCK, ctx.mult_order - k * _BLOCK)
-        yield np.bitwise_xor.reduce(tables[k].take(index[..., :size]).reshape(-1, size), axis=0)
+    tables = ctx._scalar_tables(scalars.T.ravel()).reshape(blocks - 1, 2 * terms << ctx.m)
+    index = np.stack([firsts & ((1 << ctx.m) - 1), firsts >> ctx.m], axis=1).astype(np.intp)
+    index += np.arange(2 * terms).reshape(terms, 2, 1) << ctx.m
+    for k, table in enumerate(tables, 1):
+        width = min(size, ctx.mult_order - k * size)
+        yield np.bitwise_xor.reduce(table.take(index[..., :width]).reshape(-1, width), axis=0)
 
 
 def _values_over_domain(poly: SparsePoly, xs: np.ndarray) -> np.ndarray:
@@ -147,10 +144,12 @@ def _first_collision(at, order: int) -> tuple:
     """Lowest x2 < order such that at(x2) repeats some at(x1), x1 < x2, with that x1,
     as a sequential scan finds it; ``at`` gives the values at a uint32 array of
     points.  It sorts the values at x < 2^10, 2^12, ... until a prefix holds a
-    repeat, and raises ValueError when no value repeats."""
-    size = 1 << 10
+    repeat, asking ``at`` only for the stretch each prefix adds, and raises
+    ValueError when no value repeats."""
+    prefix, size = np.empty(0, dtype=np.uint32), 1 << 10
     while True:
-        prefix = at(np.arange(min(size, order), dtype=np.uint32))
+        stretch = np.arange(len(prefix), min(size, order), dtype=np.uint32)
+        prefix = np.concatenate([prefix, at(stretch)])
         repeat = np.ones(len(prefix), dtype=bool)
         repeat[np.unique(prefix, return_index=True)[1]] = False  # first occurrences
         if repeat.any():
@@ -175,10 +174,7 @@ def is_permutation_brute(f: SparsePoly) -> VerificationReport:
             break  # a repeat inside the first block: the rest is not needed
     verdict, witness = bool(seen.all()), None
     if not verdict:
-        # a single block is f(1 .. 2^n - 1) in x order, so its prefixes are slices
-        at = (np.append(np.uint32(0), block).take if len(block) == ctx.mult_order
-              else lambda xs: _values_over_domain(f, xs))
-        witness = _first_collision(at, ctx.order)
+        witness = _first_collision(lambda xs: _values_over_domain(f, xs), ctx.order)
     return VerificationReport("brute", verdict, witness, perf_counter() - t0, ctx.field_spec())
 
 

@@ -9,6 +9,7 @@ contain an element of multiplicative order 2^n - 1).
 
 import json
 import random
+import signal
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from nihoperm.gf2n import (
     eval_sparse,
     field_new,
 )
+from nihoperm.unit_circle import polar_decompose
 
 
 def clmul(a: int, b: int) -> int:
@@ -290,20 +292,25 @@ def test_powers_match_a_scalar_chain(ctx):
     chain = [1]
     for _ in range(1100):
         chain.append(ctx.mul(chain[-1], a))
-    # counts on both sides of the scalar head (64) and of each doubling
-    for count in (0, 1, 2, 33, 64, 65, 128, 129, 1000, 1025):
+    # counts on both sides of the scalar head (8) and of each doubling
+    for count in (0, 1, 2, 7, 8, 9, 33, 64, 65, 128, 129, 1000, 1025):
         got = ctx.powers(a, count)
         assert got.dtype == np.uint32
         assert got.tolist() == chain[:count]
+        # a start c scales the row
+        c = 1 + count % (ctx.order - 1)
+        assert ctx.powers(a, count, c).tolist() == [ctx.mul(c, p) for p in chain[:count]]
 
 
 def test_powers_of_a_list_are_one_row_per_element(ctx):
     rng = random.Random(8700 + ctx.n)
     bases = [rng.randrange(2, ctx.order) for _ in range(3)]
+    starts = [rng.randrange(1, ctx.order) for _ in range(3)]
     rows = ctx.powers(bases, 300)
     assert rows.shape == (3, 300)
-    for base, row in zip(bases, rows):
+    for base, start, row, scaled in zip(bases, starts, rows, ctx.powers(bases, 300, starts)):
         assert row.tolist() == ctx.powers(base, 300).tolist()
+        assert scaled.tolist() == ctx.powers(base, 300, start).tolist()
     assert ctx.powers([], 300).shape == (0, 300)
 
 
@@ -351,6 +358,42 @@ def test_kernels_reject_elements_outside_the_field(kernel, n):
     for arr in (np.arange(ctx.order, dtype=np.uint32)[-5:], np.array([0, 1, 7], dtype=np.int64),
                 np.zeros(0, dtype=np.uint32)):
         assert len(run(ctx, arr)) == len(arr)
+
+
+SCALAR_OPS = {
+    "mul": lambda ctx, x: ctx.mul(x, 3),
+    "mul_second": lambda ctx, x: ctx.mul(3, x),
+    "sqr": lambda ctx, x: ctx.sqr(x),
+    "pow": lambda ctx, x: ctx.pow(x, 3),
+    "inv": lambda ctx, x: ctx.inv(x),
+    "trace": lambda ctx, x: ctx.trace(x),
+    "eval_sparse": lambda ctx, x: SparsePoly.from_spec(ctx, "1:3,2:1").eval(x),
+    "polar_decompose": lambda ctx, x: polar_decompose(ctx, x),
+}
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs longer than 5 s, instead of letting it hang."""
+    def ring(signum, frame):
+        raise TimeoutError("no return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("op", list(SCALAR_OPS))
+@pytest.mark.parametrize("bad", [-1, 64, 100])
+def test_scalar_ops_reject_elements_outside_the_field(alarm, op, bad):
+    # a negative element once looped forever; one above 2^n came back outside the field
+    ctx = field_new(6)
+    with pytest.raises(ValueError, match=rf"element {bad} .*outside GF\(2\^6\)"):
+        SCALAR_OPS[op](ctx, bad)
+    # the last element of the field still works
+    assert all(0 <= v < ctx.order for v in np.ravel(SCALAR_OPS[op](ctx, 63)))
 
 
 def test_trace_bits_and_subfield_mask(ctx):

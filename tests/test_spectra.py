@@ -183,17 +183,21 @@ def unblocked_values(f):
     return values
 
 
+def four_terms(ctx, rng):
+    """x, c x^(2^n - 1) (1 off zero, 0 at zero) and two random terms, coefficients != 1."""
+    f = SparsePoly.make(ctx, [(1, 1), (rng.randrange(2, ctx.order), ctx.mult_order)]
+                        + [(rng.randrange(2, ctx.order), rng.randrange(2, ctx.order))
+                           for _ in range(2)])
+    assert len(f.terms) == 4
+    return f
+
+
 def test_values_over_domain_across_block_boundaries():
     B = spectra._BLOCK
     for n in (18, 20):
         ctx = field_new(n)
         assert ctx.mult_order > B
-        rng = random.Random(1800 + n)
-        # coefficients != 1, the exponent 2^n - 1 (1 off zero, 0 at zero) and random terms
-        f = SparsePoly.make(ctx, [(1, 1), (rng.randrange(2, ctx.order), ctx.mult_order)]
-                            + [(rng.randrange(2, ctx.order), rng.randrange(2, ctx.order))
-                               for _ in range(2)])
-        assert len(f.terms) == 4
+        f = four_terms(ctx, random.Random(1800 + n))
         walk = np.concatenate([*spectra._walk(f)])
         # walk block k holds f at alpha^(kB) .. alpha^(kB + B - 1); check both sides
         # of the first and the last boundary, and the last point alpha^(2^n - 2)
@@ -221,7 +225,28 @@ def test_values_over_domain_of_the_zero_polynomial(n):
     assert walk.shape == (2**n - 1,) and not walk.any()
 
 
-def test_brute_at_n20_builds_tables_once_per_term_and_never_calls_pow_vec(monkeypatch):
+def pp_cases(n):
+    """PPs of light and heavy exponents: x^4 + alpha x is linear with no kernel
+    (alpha is no cube), alpha x^(2^n - 2) is a multiple of the inverse map."""
+    ctx = field_new(n)
+    cases = [SparsePoly.make(ctx, [(1, 4), (ctx.primitive, 1)]),
+             SparsePoly.make(ctx, [(ctx.primitive, 2**n - 2)])]
+    if n == 20:
+        cases += [gen_theorem1(make_niho(10, 0, 5, 1))[0].poly,
+                  SparsePoly.from_spec(ctx, "2:1,2:4,1:16")]
+    return cases
+
+
+ENGINES = {
+    "brute": is_permutation_brute,
+    "charsum": is_pp_charsum,
+    "delta_direct": lambda f: is_pp_delta_criterion(f, force_direct=True),
+}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("n", [4, 8, 10, 14, 20])
+def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, engine):
     builds = []
     linear_maps = FieldCtx._linear_maps
 
@@ -230,32 +255,43 @@ def test_brute_at_n20_builds_tables_once_per_term_and_never_calls_pow_vec(monkey
         return linear_maps(ctx, images)
 
     def no_pow_vec(ctx, arr, k):
-        raise AssertionError("pow_vec on a field of more than 2^14 points")
+        raise AssertionError("pow_vec on the way to a true verdict")
 
     monkeypatch.setattr(FieldCtx, "_linear_maps", counted)
     monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
-    for f in (gen_theorem1(make_niho(10, 0, 5, 1))[0].poly,
-              SparsePoly.from_spec(field_new(20), "2:1,2:4,1:16")):
+    # one build each for the doublings of the first block (`powers`), for those of
+    # the block scalars and for the block scalars' tables; a spectrum adds the trace form
+    for f in pp_cases(n):
         builds.clear()
-        assert is_permutation_brute(f).verdict
-        # the first blocks' 8 doublings (`powers`), their coefficients and the block scalars
-        assert len(builds) <= len(f.terms) + 9
+        assert ENGINES[engine](f).verdict, f.to_spec()
+        assert len(builds) <= 3 + (engine != "brute")
 
 
-def test_brute_on_a_small_field_evaluates_a_non_pp_once(monkeypatch):
-    f = SparsePoly.from_spec(field_new(10), "1:3,5:7")
+@pytest.mark.parametrize("n", [4, 10, 14])
+def test_walk_of_a_one_block_field_is_f_in_alpha_order(n):
+    ctx = field_new(n)
+    f = four_terms(ctx, random.Random(1400 + n))
+    blocks = [*spectra._walk(f)]
+    assert len(blocks) == 1
+    alpha_order = ctx.powers(ctx.primitive, ctx.mult_order)
+    assert np.array_equal(blocks[0], unblocked_values(f)[alpha_order])
+
+
+def test_brute_on_a_one_block_field_evaluates_only_the_witness_prefix(monkeypatch):
+    # the walk decides; the witness (50, 215) comes from the x < 2^10 prefix alone
+    f = SparsePoly.from_spec(field_new(14), "1:3,5:7")
     calls = []
     pow_vec = FieldCtx.pow_vec
 
     def counted(ctx, arr, k):
-        calls.append(k)
+        calls.append((k, len(arr)))
         return pow_vec(ctx, arr, k)
 
     monkeypatch.setattr(FieldCtx, "pow_vec", counted)
     rep = is_permutation_brute(f)
     monkeypatch.undo()
-    assert not rep.verdict and sorted(calls) == [3, 7]
-    assert rep.witness == argsort_first_collision(unblocked_values(f))
+    assert not rep.verdict and sorted(calls) == [(3, 2**10), (7, 2**10)]
+    assert rep.witness == argsort_first_collision(unblocked_values(f)) == (50, 215)
 
 
 def walk_cases(n):
@@ -387,14 +423,17 @@ def test_first_collision_matches_argsort(x1, x2):
     asked = []
 
     def at(xs):
-        asked.append(len(xs))
+        asked.append(xs.copy())
         return values[xs]
 
     witness = spectra._first_collision(at, len(values))
     assert witness == argsort_first_collision(values) == (x1, x2)
-    # prefixes grow fourfold from 2^10 and stop at the first that holds x2
-    assert asked == [min(4**k << 10, len(values)) for k in range(len(asked))]
-    assert asked[-1] > x2 and (len(asked) == 1 or asked[-2] <= x2)
+    # the stretches asked for tile the prefix, so each point is evaluated once, and
+    # the prefixes grow fourfold from 2^10 and stop at the first that holds x2
+    ends = [min(4**k << 10, len(values)) for k in range(len(asked))]
+    assert [int(xs[-1]) + 1 for xs in asked] == ends
+    assert np.array_equal(np.concatenate(asked), np.arange(ends[-1]))
+    assert ends[-1] > x2 and (len(ends) == 1 or ends[-2] <= x2)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2**10, 2**10 + 1, 2**12])

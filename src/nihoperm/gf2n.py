@@ -27,19 +27,21 @@ they are cross-checked against the scalar routines in the test suite.  The
 kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
 `trace_bits`, `in_subfield`) are one table lookup for the low m = n/2 bits
 of each element XORed with one for the high m bits, each table holding
-2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once, and
-over the whole field a map is the outer XOR of its two tables.  The product
-of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit
-loop.  No log/antilog tables are used anywhere; `pow_vec` serves only the
-witness searches.  Public scalar ops and kernels raise a ValueError naming any
-element outside the field; their inner loops (`_mul`, `_mul_vec`) do not check.
+2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once (the
+doublings of `powers`, the steps of a walk), and over the whole field a map
+is the outer XOR of its two tables.  The product of two arrays (`mul_vec`,
+and so `pow_vec`) keeps the shift-and-reduce bit loop.  No log/antilog tables
+are used anywhere; `pow_vec` serves only the witness searches.  Public scalar
+ops and kernels raise a ValueError naming any element outside the field; their
+inner loops (`_mul`, `_mul_vec`) do not check, and a context whose element does
+not generate GF(2^n)* is refused, as the whole-field walk relies on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -87,9 +89,26 @@ class FieldCtx:
         self.mult_order = self.order - 1
         self.irreducible = irreducible
         self.primitive = primitive
+        # the walk runs over powers of the element; the tests check the pinned pairs,
+        # which `field_new` builds on every call
+        if _PINNED.get(n) != (irreducible, primitive) and not self._generates():
+            raise ValueError(f"0x{primitive:x} does not generate GF(2^{n})* modulo "
+                             f"0x{irreducible:x}: need a modulus of degree {n} and an "
+                             f"element of order 2^{n} - 1")
         self._domain = None
         self._trace_bits = None
         self._residue = None
+
+    def _generates(self) -> bool:
+        """Whether the modulus has degree n and a = primitive has order N = 2^n - 1, which
+        also proves the modulus irreducible: a^N = 1 and a^(N/q) != 1 for each prime q | N.
+        `_pow` reduces mod N, so a^N is a^(N - 1) a."""
+        a, N = self.primitive, self.mult_order
+        primes = [q for q in range(2, 2**self.m + 2)  # q | (2^m - 1)(2^m + 1)
+                  if N % q == 0 and all(q % p for p in range(2, isqrt(q) + 1))]
+        return (self.irreducible.bit_length() == self.n + 1 and 0 < a < self.order
+                and self._mul(self._pow(a, N - 1), a) == 1
+                and all(self._pow(a, N // q) != 1 for q in primes))
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, irreducible=0x{self.irreducible:x})"
@@ -248,8 +267,8 @@ class FieldCtx:
             size += take
         return pts if np.ndim(a) else pts[0]
 
-    def _times_basis(self, c, count: int) -> list:
-        """c * x^j for j < count by shift-and-reduce; c is an element or a uint32 array."""
+    def _times_basis(self, c: int, count: int) -> list:
+        """c * x^j for j < count by shift-and-reduce, for an element c."""
         images = []
         for _ in range(count):
             images.append(c)
@@ -268,12 +287,9 @@ class FieldCtx:
         return tables
 
     def _scalar_tables(self, scalars) -> np.ndarray:
-        """`_linear_maps` of x -> c * x for every c in the list ``scalars``."""
-        if len(scalars) < 32:  # below this, numpy's cost per call outweighs a loop of ints
-            images = np.array([self._times_basis(int(c), self.n) for c in scalars], np.uint32).T
-        else:
-            images = self._times_basis(np.array(scalars, dtype=np.uint32), self.n)
-        return self._linear_maps(images)
+        """`_linear_maps` of x -> c * x for every element c in the list ``scalars``."""
+        images = [self._times_basis(c, self.n) for c in scalars]
+        return self._linear_maps(np.array(images, np.uint32).T)
 
     def _linear_map(self, tables: np.ndarray):
         """The map of one table pair of `_linear_maps` on uint32 arrays: the low
@@ -312,10 +328,19 @@ class FieldCtx:
                 result = self._mul_vec(result, base)
         return result
 
+    @cached_property
+    def _power_traces(self) -> int:
+        """The int whose bit j is Tr(x^j), j < 2n - 1: n traces, then bit k >= n from
+        x^k = x^(k - n) (x^n + modulus), the parity of the earlier bits the modulus picks."""
+        bits = sum(self.trace(1 << j) << j for j in range(self.n))
+        for k in range(self.n, 2 * self.n - 1):
+            bits |= ((bits >> (k - self.n) & self.irreducible).bit_count() & 1) << k
+        return bits
+
     def trace_bits(self) -> np.ndarray:
         """Cached uint8 array: absolute trace of every field element."""
         if self._trace_bits is None:
-            images = [self.trace(1 << j) for j in range(self.n)]
+            images = [self._power_traces >> j & 1 for j in range(self.n)]
             lo, hi = self._linear_maps(images)[0].astype(np.uint8)
             # at element hi * 2^m + lo, with no 2^n-point temporary
             self._trace_bits = np.bitwise_xor.outer(hi, lo).ravel()

@@ -32,10 +32,10 @@ histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
 O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
 every supported n.
 
-The one whole-field pass is ``_walk``: f in blocks of min(2^14, 2^n - 1) consecutive
-powers of alpha.  A term's share of the first block is a run of powers, and
-(beta x)^d = beta^d x^d makes each later block that run times one scalar, so no
-exponent is raised by square-and-multiply.  ``brute`` marks the blocks in a mask of
+The one whole-field pass is ``_walk``: f in blocks of B = min(2^14, 2^n - 1) consecutive
+powers of alpha.  A term's share of the first block is a run of powers, and each later
+block is the one before with each run times alpha^(Bd), as (alpha^B x)^d = alpha^(Bd) x^d,
+so no exponent is raised by square-and-multiply.  ``brute`` marks the blocks in a mask of
 the values seen; the spectrum and char_sum read them as a multiset.  Witnesses need
 x order, so ``_values_over_domain`` evaluates f by `pow_vec` at the points asked for:
 the prefixes of a failing brute, and the deltas of ``_first_delta``, the one delta search.
@@ -109,23 +109,22 @@ _BLOCK = 1 << 14
 def _walk(poly: SparsePoly):
     """f on the nonzero points in blocks of B = min(_BLOCK, 2^n - 1) consecutive powers
     of alpha: block k holds f(alpha^(kB + i)) for i < B.  Block 0 sums the runs c (alpha^d)^i
-    of the terms c x^d, and block k scales each run by alpha^(kBd): one table build holds
-    every such scalar, and a block costs two lookups per term."""
+    of the terms c x^d, and block k + 1 is block k with each run times alpha^(Bd): one
+    table build holds every term's step, and a block costs two lookups per term."""
     ctx = poly.ctx
     size = min(_BLOCK, ctx.mult_order)
-    alpha, terms, blocks = ctx.primitive, len(poly.terms), -(-ctx.mult_order // size)
-    firsts = ctx.powers([ctx.pow(alpha, exp) for _, exp in poly.terms], size,
-                        [coeff for coeff, _ in poly.terms])
-    yield np.bitwise_xor.reduce(firsts, axis=0)
-    scalars = ctx.powers([ctx.pow(alpha, size * exp) for _, exp in poly.terms], blocks)[:, 1:]
-    # tables[k - 1] holds every term's lo and hi table for block k, and index[t, h]
-    # points into the (t, h) one, so one take serves a whole block
-    tables = ctx._scalar_tables(scalars.T.ravel()).reshape(blocks - 1, 2 * terms << ctx.m)
-    index = np.stack([firsts & ((1 << ctx.m) - 1), firsts >> ctx.m], axis=1).astype(np.intp)
-    index += np.arange(2 * terms).reshape(terms, 2, 1) << ctx.m
-    for k, table in enumerate(tables, 1):
-        width = min(size, ctx.mult_order - k * size)
-        yield np.bitwise_xor.reduce(table.take(index[..., :width]).reshape(-1, width), axis=0)
+    runs = ctx.powers([ctx.pow(ctx.primitive, exp) for _, exp in poly.terms], size,
+                      [coeff for coeff, _ in poly.terms])
+    yield np.bitwise_xor.reduce(runs, axis=0)
+    if size == ctx.mult_order:
+        return
+    tables = ctx._scalar_tables([ctx.pow(ctx.primitive, size * exp) for _, exp in poly.terms])
+    steps = [ctx._linear_map(pair) for pair in tables]
+    for start in range(size, ctx.mult_order, size):
+        runs = runs[:, : ctx.mult_order - start]
+        for run, step in zip(runs, steps):
+            run[:] = step(run)
+        yield np.bitwise_xor.reduce(runs, axis=0)
 
 
 def _values_over_domain(poly: SparsePoly, xs: np.ndarray) -> np.ndarray:
@@ -208,9 +207,8 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
         hi *= -2
         hi += lo
         h *= 2
-    # A sends x^i to sum_j Tr(x^(i+j)) << j; one trace per power x^0 .. x^(2n-2)
-    traces = [ctx.trace(p) for p in ctx._times_basis(1, 2 * ctx.n - 1)]
-    form = ctx._linear_maps([sum(traces[i + j] << j for j in range(ctx.n)) for i in range(ctx.n)])
+    # A sends x^i to sum_j Tr(x^(i+j)) << j: bits i to i + n - 1 of the traces of powers
+    form = ctx._linear_maps([ctx._power_traces >> i & (ctx.order - 1) for i in range(ctx.n)])
     return spectrum[np.bitwise_xor.outer(form[0, 1], form[0, 0]).ravel()]
 
 

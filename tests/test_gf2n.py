@@ -87,10 +87,12 @@ def test_pinned_modulus_has_degree_n(ctx):
 
 def test_primitive_element_has_full_order(ctx):
     # an element of order 2^n - 1 exists only in a field, so this also
-    # certifies the modulus is irreducible
-    assert ctx.pow(ctx.primitive, ctx.mult_order) == 1
+    # certifies the modulus is irreducible; `pow` reduces the exponent mod
+    # 2^n - 1, so a^(2^n - 1) is taken as a^(2^n - 2) a
+    assert ctx.mul(ctx.pow(ctx.primitive, ctx.mult_order - 1), ctx.primitive) == 1
     for q in prime_factors(ctx.mult_order):
         assert ctx.pow(ctx.primitive, ctx.mult_order // q) != 1
+    assert ctx._generates()  # the check that a pinned pair skips on construction
 
 
 def test_mul_matches_long_division_oracle(ctx):
@@ -230,6 +232,35 @@ def test_field_equality_is_by_value():
     )
 
 
+@pytest.mark.parametrize("irreducible, primitive", [
+    (0x43, 0x3),  # x^6 + x + 1 is primitive, but x + 1 has order 21
+    (0x41, 0x2),  # x^6 + 1 is reducible
+    (0x49, 0x2),  # x^6 + x^3 + 1 is irreducible, but x has order 9
+    (0x13, 0x2),  # a modulus of degree 4
+])
+def test_field_rejects_an_element_that_does_not_generate(irreducible, primitive):
+    # on f = x, these once gave a false charsum verdict or an IndexError
+    with pytest.raises(ValueError, match=rf"0x{primitive:x} .*GF\(2\^6\).* 0x{irreducible:x}"):
+        FieldCtx(6, irreducible, primitive)
+    assert FieldCtx(6, 0x61, 0x2).primitive == 0x2  # x^6 + x^5 + 1, in which x is primitive
+
+
+def test_field_accepts_exactly_the_pairs_of_full_order():
+    # every modulus of degree 4 and every element, against orbits of the oracle product
+    for irreducible in range(0x10, 0x20):
+        for a in range(16):
+            orbit, p = set(), 1
+            for _ in range(15):
+                p = polymod(clmul(p, a), irreducible)
+                orbit.add(p)
+            try:
+                FieldCtx(4, irreducible, a)
+            except ValueError:
+                assert len(orbit - {0}) < 15, (irreducible, a)
+            else:
+                assert len(orbit - {0}) == 15, (irreducible, a)
+
+
 # -- vectorized kernels -------------------------------------------------------
 
 
@@ -316,7 +347,6 @@ def test_powers_of_a_list_are_one_row_per_element(ctx):
 
 @pytest.mark.parametrize("count", [0, 1, 5, 31, 32, 100])
 def test_scalar_tables_are_scalar_mul_vec(ctx, count):
-    # below and above the count where the basis images switch from ints to arrays
     rng = random.Random(8800 + ctx.n + count)
     scalars = [rng.randrange(ctx.order) for _ in range(count)]
     sample = np.array(rng.sample(range(ctx.order), min(ctx.order, 64)), dtype=np.uint32)

@@ -244,9 +244,8 @@ ENGINES = {
 }
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
-@pytest.mark.parametrize("n", [4, 8, 10, 14, 20])
-def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, engine):
+def counted_table_builds(monkeypatch):
+    """A list that grows by one entry per call of FieldCtx._linear_maps."""
     builds = []
     linear_maps = FieldCtx._linear_maps
 
@@ -254,17 +253,55 @@ def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, eng
         builds.append(1)
         return linear_maps(ctx, images)
 
+    monkeypatch.setattr(FieldCtx, "_linear_maps", counted)
+    return builds
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("n", [4, 8, 10, 14, 20])
+def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, engine):
+    builds = counted_table_builds(monkeypatch)
+
     def no_pow_vec(ctx, arr, k):
         raise AssertionError("pow_vec on the way to a true verdict")
 
-    monkeypatch.setattr(FieldCtx, "_linear_maps", counted)
     monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
-    # one build each for the doublings of the first block (`powers`), for those of
-    # the block scalars and for the block scalars' tables; a spectrum adds the trace form
+    # one build for the doublings of the first block (`powers`) and, above one block,
+    # one for every term's step to the next block; a spectrum adds the trace form
     for f in pp_cases(n):
         builds.clear()
         assert ENGINES[engine](f).verdict, f.to_spec()
-        assert len(builds) <= 3 + (engine != "brute")
+        assert len(builds) == 1 + (n > 14) + (engine != "brute")
+
+
+@pytest.mark.parametrize("n, want", [(4, 1), (10, 1), (14, 1), (16, 2), (20, 2)])
+def test_walk_builds_tables_for_the_first_block_and_the_steps_only(monkeypatch, n, want):
+    # the first block's doublings, and above n = 14 the steps between blocks: no
+    # table for a later block's own scalar
+    builds = counted_table_builds(monkeypatch)
+    f = four_terms(field_new(n), random.Random(2000 + n))
+    blocks = [*spectra._walk(f)]
+    assert len(blocks) == -(-(2**n - 1) // spectra._BLOCK) and len(builds) == want
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_spectra_of_one_field_compute_the_trace_form_once(monkeypatch, n):
+    calls = []
+    trace = FieldCtx.trace
+
+    def counted(ctx, a, sub_m=1):
+        calls.append(a)
+        return trace(ctx, a, sub_m)
+
+    monkeypatch.setattr(FieldCtx, "trace", counted)
+    ctx = field_new(n)
+    f, g = four_terms(ctx, random.Random(2100 + n)), SparsePoly.make(ctx, [(1, 1)])
+    # n traces, on the basis; the modulus gives Tr(x^j) for n <= j < 2n - 1 from them
+    spectra._char_spectrum(f)
+    assert len(calls) == n
+    spectra._char_spectrum(g)
+    ctx.trace_bits()
+    assert len(calls) == n
 
 
 @pytest.mark.parametrize("n", [4, 10, 14])

@@ -42,7 +42,7 @@ from .exponents import (
     check_theorem1,
     make_niho,
 )
-from .gf2n import FieldCtx, SparsePoly, field_new
+from .gf2n import _PINNED, FieldCtx, SparsePoly, field_new
 from .spectra import VerificationReport, is_cpp, is_permutation_brute
 from .unit_circle import UnitCircle, build_unit_circle, complement_coset
 
@@ -69,12 +69,11 @@ class FamilyInstance:
 
 def _field(n: int, ctx: FieldCtx = None) -> FieldCtx:
     """field_new(n), or ``ctx`` when it equals that field; any other ctx is
-    a ValueError naming both."""
-    field = field_new(n)
+    a ValueError naming both.  A ctx is checked by its key, with no field built."""
     if ctx is None:
-        return field
-    if ctx != field:
-        raise ValueError(f"field {ctx!r} does not match {field!r} for n={n}")
+        return field_new(n)
+    if not isinstance(ctx, FieldCtx) or ctx._key() != (n, *_PINNED.get(n, ())):
+        raise ValueError(f"field {ctx!r} does not match {field_new(n)!r} for n={n}")
     return ctx
 
 

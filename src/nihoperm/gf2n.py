@@ -21,20 +21,20 @@ The modulus is the irreducible trinomial with the smallest integer encoding,
 falling back to the smallest pentanomial when no trinomial exists (n = 8, 16);
 the primitive element is the smallest generator of the multiplicative group.
 
-Scalar operations work bit by bit on ints.  Bulk operations act on numpy
-uint32 arrays and are what make exhausting a 2^20-element domain affordable;
-they are cross-checked against the scalar routines in the test suite.  The
-kernels that are GF(2)-linear in their argument (`sqr_vec`, `scalar_mul_vec`,
-`trace_bits`, `in_subfield`) are one table lookup for the low m = n/2 bits
-of each element XORed with one for the high m bits, each table holding
-2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once (the
-doublings of `powers`, the steps of a walk), and over the whole field a map
-is the outer XOR of its two tables.  The product of two arrays (`mul_vec`,
-and so `pow_vec`) keeps the shift-and-reduce bit loop.  No log/antilog tables
-are used anywhere; `pow_vec` serves only the witness searches.  Public scalar
-ops and kernels raise a ValueError naming any element outside the field; their
-inner loops (`_mul`, `_mul_vec`) do not check, and a context whose element does
-not generate GF(2^n)* is refused, as the whole-field walk relies on it.
+Scalar operations work bit by bit on ints.  Bulk operations act on numpy uint32 arrays
+and are what make exhausting a 2^20-element domain affordable; they are cross-checked
+against the scalar routines in the test suite.  The kernels that are GF(2)-linear in their
+argument (`sqr_vec`, `scalar_mul_vec`, `trace_bits`, `in_subfield`) are one table lookup
+for the low m = n/2 bits of each element XORed with one for the high m bits, each table
+holding 2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once (the
+doublings of `powers`, the steps of a walk), and over the whole field a map is the outer
+XOR of its two tables.  `in_subfield`'s x^(2^m) + x takes x^(2^m) from m squarings.  The
+product of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
+No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
+`spectra._values_over_domain`, for the witness searches.  Public scalar ops and kernels
+raise a ValueError naming any element outside the field; their inner loops (`_mul`,
+`_mul_vec`) do not check, and a context whose element does not generate GF(2^n)* is
+refused, as the whole-field walk relies on it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class FieldCtx:
     """
 
     def __init__(self, n: int, irreducible: int, primitive: int):
-        if n % 2 != 0 or not 4 <= n <= 20:
+        if n not in _PINNED:
             raise ValueError(f"unsupported field degree n={n}: need even n with 4 <= n <= 20")
         self.n = n
         self.m = n // 2
@@ -95,9 +95,6 @@ class FieldCtx:
             raise ValueError(f"0x{primitive:x} does not generate GF(2^{n})* modulo "
                              f"0x{irreducible:x}: need a modulus of degree {n} and an "
                              f"element of order 2^{n} - 1")
-        self._domain = None
-        self._trace_bits = None
-        self._residue = None
 
     def _generates(self) -> bool:
         """Whether the modulus has degree n and a = primitive has order N = 2^n - 1, which
@@ -211,10 +208,8 @@ class FieldCtx:
     # -- vectorized arithmetic on uint32 arrays ---------------------------
 
     def domain(self) -> np.ndarray:
-        """The full field as a cached uint32 array [0, 1, ..., 2^n - 1]."""
-        if self._domain is None:
-            self._domain = np.arange(self.order, dtype=np.uint32)
-        return self._domain
+        """The full field as a new uint32 array [0, 1, ..., 2^n - 1]."""
+        return np.arange(self.order, dtype=np.uint32)
 
     def _elements(self, arr) -> np.ndarray:
         """arr as an array of field elements, else a ValueError naming n and an outsider."""
@@ -337,21 +332,30 @@ class FieldCtx:
             bits |= ((bits >> (k - self.n) & self.irreducible).bit_count() & 1) << k
         return bits
 
-    def trace_bits(self) -> np.ndarray:
-        """Cached uint8 array: absolute trace of every field element."""
-        if self._trace_bits is None:
-            images = [self._power_traces >> j & 1 for j in range(self.n)]
-            lo, hi = self._linear_maps(images)[0].astype(np.uint8)
-            # at element hi * 2^m + lo, with no 2^n-point temporary
-            self._trace_bits = np.bitwise_xor.outer(hi, lo).ravel()
-        return self._trace_bits
+    @cached_property
+    def _traces(self) -> np.ndarray:
+        """Tr(x) at x = hi * 2^m + lo, with no 2^n-point temporary; read-only, as shared."""
+        images = [self._power_traces >> j & 1 for j in range(self.n)]
+        lo, hi = self._linear_maps(images)[0].astype(np.uint8)
+        traces = np.bitwise_xor.outer(hi, lo).ravel()
+        traces.setflags(write=False)
+        return traces
 
-    def _subfield_residue(self, arr: np.ndarray = None) -> np.ndarray:
-        """x^(2^m) + x on arr (linear, zero exactly on GF(2^m)), or its cached tables."""
-        if self._residue is None:
-            basis = np.uint32(1) << np.arange(self.n, dtype=np.uint32)
-            self._residue = self._linear_maps(self.pow_vec(basis, 2**self.m) ^ basis)[0]
-        return self._residue if arr is None else self._linear_map(self._residue)(arr)
+    def trace_bits(self) -> np.ndarray:
+        """Cached read-only uint8 array: absolute trace of every field element."""
+        return self._traces
+
+    @cached_property
+    def _residue(self) -> np.ndarray:
+        """Tables of x -> x^(2^m) + x, the Frobenius of the basis from m passes of `_square`."""
+        basis = frobenius = np.uint32(1) << np.arange(self.n, dtype=np.uint32)
+        for _ in range(self.m):
+            frobenius = self._square(frobenius)
+        return self._linear_maps(frobenius ^ basis)[0]
+
+    def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
+        """x^(2^m) + x on arr: linear, zero exactly on GF(2^m)."""
+        return self._linear_map(self._residue)(arr)
 
     def in_subfield(self, arr: np.ndarray) -> np.ndarray:
         """Bool array: which elements of arr lie in the subfield GF(2^m)."""
@@ -359,16 +363,13 @@ class FieldCtx:
 
     def subfield_mask(self) -> np.ndarray:
         """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""
-        lo, hi = self._subfield_residue()
+        lo, hi = self._residue
         return np.equal.outer(hi, lo).ravel()
 
 
 def field_new(n: int) -> FieldCtx:
-    """Construct the pinned GF(2^n) context for even n in [4, 20]."""
-    if n not in _PINNED:
-        raise ValueError(f"unsupported field degree n={n}: need even n with 4 <= n <= 20")
-    irreducible, primitive = _PINNED[n]
-    return FieldCtx(n, irreducible, primitive)
+    """Construct the pinned GF(2^n) context for even n in [4, 20]; `FieldCtx` refuses other n."""
+    return FieldCtx(n, *_PINNED.get(n, (0, 0)))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ powers of alpha.  A term's share of the first block is a run of powers, and each
 block is the one before with each run times alpha^(Bd), as (alpha^B x)^d = alpha^(Bd) x^d,
 so no exponent is raised by square-and-multiply.  ``brute`` marks the blocks in a mask of
 the values seen; the spectrum and char_sum read them as a multiset.  Witnesses need
-x order, so ``_values_over_domain`` evaluates f by `pow_vec` at the points asked for:
-the prefixes of a failing brute, and the deltas of ``_first_delta``, the one delta search.
+x order, so ``_values_over_domain`` evaluates by `pow_vec` at the points asked for: f at the
+prefixes of a failing brute, and a monomial at the deltas of ``_first_delta``, the delta search.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
                                 [(d1 - e) % ctx.mult_order // step for _, e in rest])
         failing = np.array(circle.elements, dtype=np.uint32)[counts != 1]
         if len(failing):
-            witness = _first_delta(ctx, lambda ds: np.isin(ctx.pow_vec(ds, step), failing))
+            witness = _first_delta(SparsePoly.make(ctx, [(1, step)]), lambda v: np.isin(v, failing))
     else:
         # x -> x/delta turns the sum at delta into the character sum of f at
         # gamma = delta^d1 / c1, and as delta runs over the nonzero elements so
@@ -278,7 +278,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
         spectrum = _char_spectrum(f)
         if spectrum[1:].any():
             g = SparsePoly.make(ctx, [(ctx.inv(c1), d1)])
-            witness = _first_delta(ctx, lambda ds: spectrum[_values_over_domain(g, ds)] != 0)
+            witness = _first_delta(g, lambda gammas: spectrum[gammas] != 0)
     return VerificationReport(engine, witness is None, witness, perf_counter() - t0,
                               ctx.field_spec())
 
@@ -305,14 +305,14 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     return np.resize((h == 0).sum(axis=1), M)
 
 
-def _first_delta(ctx: FieldCtx, fails) -> int:
-    """Smallest delta >= 1 that fails, where ``fails`` maps a uint32 block of
-    deltas to a bool array; searched in blocks of doubling size from 2^m + 1,
-    so the cost follows the answer rather than 2^n.  Some delta must fail."""
-    lo, size = 1, 2**ctx.m + 1
+def _first_delta(g: SparsePoly, fails) -> int:
+    """Smallest delta >= 1 that fails, where ``fails`` maps the values of g at a
+    uint32 block of deltas to a bool array; searched in blocks of doubling size from
+    2^m + 1, so the cost follows the answer rather than 2^n.  Some delta must fail."""
+    ctx, lo, size = g.ctx, 1, 2**g.ctx.m + 1
     while True:
         block = np.arange(lo, min(lo + size, ctx.order), dtype=np.uint32)
-        hits = np.flatnonzero(fails(block))
+        hits = np.flatnonzero(fails(_values_over_domain(g, block)))
         if len(hits):
             return lo + int(hits[0])
         lo, size = lo + size, 2 * size

@@ -19,7 +19,9 @@ def test_all_six_demos_are_collected():
 def test_demo_exits_zero(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    # -W error: the suite's warning filters do not reach a subprocess
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr

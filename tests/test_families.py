@@ -349,8 +349,13 @@ def test_scan_families_rejects_budget_and_k_max_below_range():
     assert scan_families([3], 1, families=("cpp-class",), k_max=0)
 
 
-def test_scan_families_m3_all_verified():
+def test_scan_families_m3_all_verified(monkeypatch):
+    # one field for the one m: the generators compare the ctx they get, not rebuild it
+    built = []
+    init = FieldCtx.__init__
+    monkeypatch.setattr(FieldCtx, "__init__", lambda ctx, *a: built.append(a) or init(ctx, *a))
     records = scan_families([3])
+    assert built == [(6, 0x43, 0x2)]
     assert records
     ids = {inst.family_id for inst, _ in records}
     assert {

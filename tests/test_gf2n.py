@@ -23,6 +23,7 @@ from nihoperm.gf2n import (
     eval_sparse,
     field_new,
 )
+from nihoperm.spectra import char_sum
 from nihoperm.unit_circle import polar_decompose
 
 
@@ -305,6 +306,16 @@ def test_linear_kernels_on_every_element(n):
         assert ctx.scalar_mul_vec(c, d).tolist() == [ctx.mul(c, x) for x in elems]
     assert ctx.trace_bits().tolist() == [ctx.trace(x) for x in elems]
     assert ctx.subfield_mask().tolist() == [ctx.pow(x, 2**ctx.m) == x for x in elems]
+
+
+def test_cached_arrays_are_not_handed_out_writable():
+    ctx = field_new(6)
+    x = SparsePoly.make(ctx, [(1, 1)])
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.trace_bits()[:] = 0
+    assert char_sum(x, 1) == 0
+    ctx.domain()[:] = 0
+    assert ctx.domain().tolist() == list(range(ctx.order))
 
 
 def test_pow_vec_matches_scalar(ctx):

@@ -10,6 +10,11 @@ whose ``char_sum`` is nonzero.  Every failing witness is also checked on its
 own terms: a ``brute`` pair collides under ``SparsePoly.eval``, and a delta
 gives a delta polynomial, built here from its definition, with a nonzero
 ``char_sum`` (on the niho path, also a circle count other than 1).
+
+These run at n <= 10, inside one block of the walk.  A smaller property,
+``test_engines_agree_across_the_walk_seam``, takes the same checks to
+n = 12, 14 (the one-block edge) and 16 (stepped blocks), and to a field
+built by hand with another modulus.
 """
 
 from math import gcd
@@ -17,7 +22,7 @@ from math import gcd
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nihoperm.gf2n import SparsePoly, field_new
+from nihoperm.gf2n import FieldCtx, SparsePoly, field_new
 from nihoperm.spectra import (
     char_sum,
     count_unit_circle_solutions,
@@ -170,3 +175,46 @@ def test_charsum_direct_and_brute_agree(f):
         gamma = charsum.witness
         assert char_sum(f, gamma) != 0
         assert all(char_sum(f, g) == 0 for g in range(1, gamma))
+
+
+SEAM_CIRCLES = {ctx: build_unit_circle(ctx)
+                for ctx in (field_new(16), field_new(14), field_new(12), FieldCtx(6, 0x61, 0x2))}
+
+
+@st.composite
+def seam_polys(draw):
+    """1-3 terms over a field of SEAM_CIRCLES with a pivot d1 coprime to 2^n - 1; the
+    others congruent to d1 mod 2^m - 1 (niho), powers of 2 like d1 (linearized), or
+    anywhere.  Coefficients lie on the unit circle or anywhere in the field."""
+    circle = draw(st.sampled_from(list(SEAM_CIRCLES.values())))
+    ctx, kind = circle.ctx, draw(st.sampled_from(["niho", "linearized", "general"]))
+    N, step = ctx.mult_order, 2**ctx.m - 1
+    if kind == "linearized":
+        d1 = draw(st.sampled_from([2**i for i in range(ctx.n)]))
+        others = st.integers(0, ctx.n - 1).map(lambda i: 2**i)
+    else:
+        d1 = draw(st.integers(1, N).filter(lambda d: gcd(d, N) == 1))
+        others = st.integers(1, N)
+        if kind == "niho":
+            others = st.integers(0, 2**ctx.m).map(lambda j: (d1 - 1) % step + 1 + j * step)
+    k = 2 - draw(st.integers(0, 2))  # the simplest draw is 3 terms, not a monomial
+    exps = draw(st.lists(others.filter(lambda e: e != d1), min_size=k, max_size=k, unique=True))
+    coeffs = st.one_of(st.sampled_from(circle.elements), st.integers(1, ctx.order - 1))
+    return SparsePoly.make(ctx, [(draw(coeffs), e) for e in [d1] + exps])
+
+
+@settings(PROPERTY, max_examples=50)
+@given(seam_polys())
+def test_engines_agree_across_the_walk_seam(f):
+    brute = is_permutation_brute(f)
+    charsum = is_pp_charsum(f)
+    direct = is_pp_delta_criterion(f, force_direct=True)
+    default = is_pp_delta_criterion(f)
+    assert brute.verdict == charsum.verdict == direct.verdict == default.verdict
+    if default.engine == "niho":
+        assert default.witness == direct.witness
+    if not brute.verdict:
+        assert_collision(f, brute.witness)
+        assert_failing_delta(f, direct.witness)
+        assert_failing_delta(f, default.witness, circle=default.engine == "niho")
+        assert char_sum(f, charsum.witness) != 0

@@ -7,6 +7,7 @@ first-failure semantics.
 """
 
 import random
+import sys
 import tracemalloc
 from math import gcd
 
@@ -272,6 +273,28 @@ def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, eng
         builds.clear()
         assert ENGINES[engine](f).verdict, f.to_spec()
         assert len(builds) == 1 + (n > 14) + (engine != "brute")
+
+
+def test_pow_vec_is_reached_only_through_values_over_domain(monkeypatch):
+    callers = []
+    pow_vec = FieldCtx.pow_vec
+
+    def recorded(ctx, arr, k):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return pow_vec(ctx, arr, k)
+
+    monkeypatch.setattr(FieldCtx, "pow_vec", recorded)
+    # a fresh field squares its way to the subfield residue
+    ctx = field_new(10)
+    ctx.in_subfield(np.arange(8, dtype=np.uint32))
+    ctx.subfield_mask()
+    assert callers == []
+    # u an r-th power on the circle (r = 3): the niho path finds a witness
+    p = make_niho(5, 1, 3, 3)
+    u = build_unit_circle(ctx).elements[3]
+    rep = is_pp_delta_criterion(SparsePoly.make(ctx, [(1, p.d1), (u, p.d2)]))
+    assert rep.engine == "niho" and not rep.verdict
+    assert callers and set(callers) == {"_values_over_domain"}
 
 
 @pytest.mark.parametrize("n, want", [(4, 1), (10, 1), (14, 1), (16, 2), (20, 2)])

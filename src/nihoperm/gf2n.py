@@ -24,11 +24,11 @@ the primitive element is the smallest generator of the multiplicative group.
 Scalar operations work bit by bit on ints.  Bulk operations act on numpy uint32 arrays
 and are what make exhausting a 2^20-element domain affordable; they are cross-checked
 against the scalar routines in the test suite.  The kernels that are GF(2)-linear in their
-argument (`sqr_vec`, `scalar_mul_vec`, `trace_bits`, `in_subfield`) are one table lookup
+argument (`sqr_vec`, `scalar_mul_vec`, `trace_bits`, `subfield_mask`) are one table lookup
 for the low m = n/2 bits of each element XORed with one for the high m bits, each table
 holding 2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once (the
 doublings of `powers`, the steps of a walk), and over the whole field a map is the outer
-XOR of its two tables.  `in_subfield`'s x^(2^m) + x takes x^(2^m) from m squarings.  The
+XOR of its two tables.  The subfield residue x^(2^m) + x takes x^(2^m) from m squarings.  The
 product of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
 `spectra._values_over_domain`, for the witness searches.  Public scalar ops and kernels
@@ -356,10 +356,6 @@ class FieldCtx:
     def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
         """x^(2^m) + x on arr: linear, zero exactly on GF(2^m)."""
         return self._linear_map(self._residue)(arr)
-
-    def in_subfield(self, arr: np.ndarray) -> np.ndarray:
-        """Bool array: which elements of arr lie in the subfield GF(2^m)."""
-        return self._subfield_residue(self._elements(arr)) == 0
 
     def subfield_mask(self) -> np.ndarray:
         """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""

@@ -35,8 +35,10 @@ every supported n.
 The one whole-field pass is ``_walk``: f in blocks of B = min(2^14, 2^n - 1) consecutive
 powers of alpha.  A term's share of the first block is a run of powers, and each later
 block is the one before with each run times alpha^(Bd), as (alpha^B x)^d = alpha^(Bd) x^d,
-so no exponent is raised by square-and-multiply.  ``brute`` marks the blocks in a mask of
-the values seen; the spectrum and char_sum read them as a multiset.  Witnesses need
+so no exponent is raised by square-and-multiply.  A step is two table lookups written in
+place, through index and part buffers kept for the whole walk, and each block is yielded
+as a new array.  ``brute`` marks the blocks in a mask of the values seen; the spectrum
+and char_sum read them as a multiset.  Witnesses need
 x order, so ``_values_over_domain`` evaluates by `pow_vec` at the points asked for: f at the
 prefixes of a failing brute, and a monomial at the deltas of ``_first_delta``, the delta search.
 """
@@ -108,9 +110,12 @@ _BLOCK = 1 << 14
 
 def _walk(poly: SparsePoly):
     """f on the nonzero points in blocks of B = min(_BLOCK, 2^n - 1) consecutive powers
-    of alpha: block k holds f(alpha^(kB + i)) for i < B.  Block 0 sums the runs c (alpha^d)^i
-    of the terms c x^d, and block k + 1 is block k with each run times alpha^(Bd): one
-    table build holds every term's step, and a block costs two lookups per term."""
+    of alpha: block k holds f(alpha^(kB + i)) for i < B, as a new array.  Block 0 sums the
+    runs c (alpha^d)^i of the terms c x^d, and block k + 1 is block k with each run times
+    alpha^(Bd): one table build holds every term's step, and a step overwrites its run with
+    the lookups of its low and high m bits through two buffers reused by every block, then
+    XORs the two.  The indices are below 2^m, so mode "wrap" never wraps; unlike the default
+    mode it writes straight to ``out`` with no bounds check, and it is faster than "clip"."""
     ctx = poly.ctx
     size = min(_BLOCK, ctx.mult_order)
     runs = ctx.powers([ctx.pow(ctx.primitive, exp) for _, exp in poly.terms], size,
@@ -119,11 +124,15 @@ def _walk(poly: SparsePoly):
     if size == ctx.mult_order:
         return
     tables = ctx._scalar_tables([ctx.pow(ctx.primitive, size * exp) for _, exp in poly.terms])
-    steps = [ctx._linear_map(pair) for pair in tables]
+    low, m = np.uint32((1 << ctx.m) - 1), np.uint32(ctx.m)
+    idx, part = np.empty((2, size), dtype=np.uint32)
     for start in range(size, ctx.mult_order, size):
-        runs = runs[:, : ctx.mult_order - start]
-        for run, step in zip(runs, steps):
-            run[:] = step(run)
+        width = min(size, ctx.mult_order - start)
+        runs, idx, part = runs[:, :width], idx[:width], part[:width]
+        for run, (lo, hi) in zip(runs, tables):
+            lo.take(np.bitwise_and(run, low, out=idx), out=part, mode="wrap")
+            hi.take(np.right_shift(run, m, out=idx), out=run, mode="wrap")
+            run ^= part
         yield np.bitwise_xor.reduce(runs, axis=0)
 
 
@@ -168,7 +177,7 @@ def is_permutation_brute(f: SparsePoly) -> VerificationReport:
     seen = np.zeros(ctx.order, dtype=bool)
     seen[0] = True
     for k, block in enumerate(_walk(f)):
-        seen[block] = True
+        seen[block.astype(np.intp)] = True  # cast and scatter beat a uint32 scatter
         if k == 0 and np.count_nonzero(seen) <= len(block):
             break  # a repeat inside the first block: the rest is not needed
     verdict, witness = bool(seen.all()), None

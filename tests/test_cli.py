@@ -183,6 +183,28 @@ def test_verify_n20_default_and_all_engines(capsys):
     ]
 
 
+@pytest.mark.parametrize("poly, witness", [
+    # x^d1 + u*x^d2 for theorem-1 exponents with u an r-th power on the circle
+    ("6d3e:3074,1:8189", "0x0,0x17"),
+    ("c025f:4096,1:9211", "0x0,0x8f"),
+    ("1:4096,edeb2:1047556", "0x0,0xf6"),
+])
+def test_verify_n20_controls_keep_their_brute_witness(capsys, poly, witness):
+    code, out, _ = run_cli(capsys, "verify", "--n", "20", "--poly", poly, "--engines", "brute")
+    assert code == 1
+    assert f"engine=brute target=f verdict=false witness={witness}" in out.splitlines()
+
+
+def test_verify_cpp_n18_witness_of_f_plus_x(capsys):
+    # f = x permutes, and f + x = 0 collides at the first pair
+    code, out, _ = run_cli(capsys, "verify", "--n", "18", "--poly", "1:1", "--cpp")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("engine=")] == [
+        "engine=brute target=f verdict=true",
+        "engine=brute target=f+x verdict=false witness=0x0,0x1",
+    ]
+
+
 def test_main_builds_one_parser(capsys, monkeypatch):
     parsers = []
     parse_args = cli._Parser.parse_args

@@ -286,7 +286,7 @@ def test_pow_vec_is_reached_only_through_values_over_domain(monkeypatch):
     monkeypatch.setattr(FieldCtx, "pow_vec", recorded)
     # a fresh field squares its way to the subfield residue
     ctx = field_new(10)
-    ctx.in_subfield(np.arange(8, dtype=np.uint32))
+    ctx._subfield_residue(np.arange(8, dtype=np.uint32))
     ctx.subfield_mask()
     assert callers == []
     # u an r-th power on the circle (r = 3): the niho path finds a witness
@@ -335,6 +335,22 @@ def test_walk_of_a_one_block_field_is_f_in_alpha_order(n):
     assert len(blocks) == 1
     alpha_order = ctx.powers(ctx.primitive, ctx.mult_order)
     assert np.array_equal(blocks[0], unblocked_values(f)[alpha_order])
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("n", [16, 18])
+def test_walk_blocks_survive_the_steps_after_them(n, size):
+    # the walk steps its runs in place; every block it yields must be its own array,
+    # so blocks kept uncopied until the walk ends still hold their values
+    ctx = field_new(n)
+    rng = random.Random(1700 + 10 * n + size)
+    f = SparsePoly.make(ctx, [(rng.randrange(2, ctx.order), rng.randrange(2, 16))
+                              for _ in range(size)])
+    assert len(f.terms) == size
+    blocks = list(spectra._walk(f))
+    assert len(blocks) == -(-ctx.mult_order // spectra._BLOCK)
+    alpha_order = ctx.powers(ctx.primitive, ctx.mult_order)
+    assert np.array_equal(np.concatenate(blocks), unblocked_values(f)[alpha_order])
 
 
 def test_brute_on_a_one_block_field_evaluates_only_the_witness_prefix(monkeypatch):

@@ -14,9 +14,9 @@ engine both ask it, through `_require_theorem1`, and so fail with one message.
 
 `gcd_mersenne_like` gives gcd(2^r +- 1, 2^s +- 1) in closed form and
 `gcd_p_2k1_guaranteed_one` decides, from the multiplicative order of 2 modulo
-an odd prime p, whether gcd(p, 2^k + 1) = 1 is forced.  Both are used to place
-whole parameter families inside the permutation condition without computing
-any field arithmetic.
+an odd prime p, whether gcd(p, 2^k + 1) = 1 is forced.  They are the paper's
+gcd lemmas, exported and checked against direct gcds by the tests; no engine
+or generator calls them.
 """
 
 from __future__ import annotations

@@ -23,13 +23,12 @@ the primitive element is the smallest generator of the multiplicative group.
 
 Scalar operations work bit by bit on ints.  Bulk operations act on numpy uint32 arrays
 and are what make exhausting a 2^20-element domain affordable; they are cross-checked
-against the scalar routines in the test suite.  The kernels that are GF(2)-linear in their
-argument (`sqr_vec`, `scalar_mul_vec`, `trace_bits`, `subfield_mask`) are one table lookup
-for the low m = n/2 bits of each element XORed with one for the high m bits, each table
-holding 2^m <= 1024 images; `_linear_maps` builds the tables of K maps at once (the
-doublings of `powers`, the steps of a walk), and over the whole field a map is the outer
-XOR of its two tables.  The subfield residue x^(2^m) + x takes x^(2^m) from m squarings.  The
-product of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
+against the scalar routines in the test suite.  A GF(2)-linear map (a scalar multiple,
+squaring, x^(2^m) + x, the trace form) is a pair of tables holding the images of the low
+and of the high m = n/2 bits of an element, 2^m <= 1024 each; `_linear_maps` builds the
+pairs of K maps at once, `_apply` is the one lookup of a pair on an array, and over the
+whole field a map is the outer XOR of its two tables.  The product of two arrays
+(`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
 `spectra._values_over_domain`, for the witness searches.  Public scalar ops and kernels
 raise a ValueError naming any element outside the field; their inner loops (`_mul`,
@@ -89,6 +88,7 @@ class FieldCtx:
         self.mult_order = self.order - 1
         self.irreducible = irreducible
         self.primitive = primitive
+        self._low, self._shift = np.uint32((1 << self.m) - 1), np.uint32(self.m)  # for `_apply`
         # the walk runs over powers of the element; the tests check the pinned pairs,
         # which `field_new` builds on every call
         if _PINNED.get(n) != (irreducible, primitive) and not self._generates():
@@ -258,7 +258,7 @@ class FieldCtx:
         for maps in tables.reshape(k, len(bases), 2, 1 << self.m):
             take = min(size, count - size)
             for row, pair in zip(pts, maps):
-                row[size : size + take] = self._linear_map(pair)(row[:take])
+                self._apply(pair, row[:take], out=row[size : size + take])
             size += take
         return pts if np.ndim(a) else pts[0]
 
@@ -286,27 +286,32 @@ class FieldCtx:
         images = [self._times_basis(c, self.n) for c in scalars]
         return self._linear_maps(np.array(images, np.uint32).T)
 
-    def _linear_map(self, tables: np.ndarray):
-        """The map of one table pair of `_linear_maps` on uint32 arrays: the low
-        m bits of an element index the first table, the high m bits the second."""
-        (lo, hi), low, m = tables, np.uint32((1 << self.m) - 1), np.uint32(self.m)
-        return lambda arr: lo.take(arr & low) ^ hi.take(arr >> m)
+    def _apply(self, tables: np.ndarray, arr: np.ndarray, out=None) -> np.ndarray:
+        """The map of a table pair of `_linear_maps` on an array from the field, unchecked: the
+        images of the low and of the high m bits of each element, XORed into ``out`` (a new
+        array if None).  The high bits are looked up before ``out`` is written, so ``out`` may
+        be ``arr``.  Mode "wrap" never wraps, as the indices are below 2^m; unlike the default
+        mode it writes straight to ``out`` with no bounds check, and it is faster than "clip"."""
+        lo, hi = tables
+        high = hi.take(arr >> self._shift, mode="wrap")
+        out = lo.take(arr & self._low, out=out, mode="wrap")
+        out ^= high
+        return out
 
     def scalar_mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
         """c * arr for a single field element c."""
         if not 0 <= c < self.order:
             raise ValueError(f"scalar c={c} outside GF(2^{self.n})")
-        return self._linear_map(self._scalar_tables([c])[0])(self._elements(arr))
+        return self._apply(self._scalar_tables([c])[0], self._elements(arr))
 
     @cached_property
-    def _square(self):
-        """x -> x^2 on arrays from the field, unchecked: tables of x^j -> x^(2j)."""
-        squares = self._times_basis(1, 2 * self.n - 1)[::2]
-        return self._linear_map(self._linear_maps(squares)[0])
+    def _squares(self) -> np.ndarray:
+        """Tables of x -> x^2: the images x^j -> x^(2j)."""
+        return self._linear_maps(self._times_basis(1, 2 * self.n - 1)[::2])[0]
 
     def sqr_vec(self, arr: np.ndarray) -> np.ndarray:
-        """Elementwise square, through the cached tables of x^j -> x^(2j)."""
-        return self._square(self._elements(arr))
+        """Elementwise square, through the cached `_squares` tables."""
+        return self._apply(self._squares, self._elements(arr))
 
     def pow_vec(self, arr: np.ndarray, k: int) -> np.ndarray:
         """Elementwise arr**k for k >= 0 (same 0-versus-2^n-1 care as pow)."""
@@ -318,25 +323,30 @@ class FieldCtx:
         # left to right over the bits of k: square, then multiply on a 1
         result = base.copy()
         for bit in bin(canonical_exponent(k, self.n))[3:]:
-            result = self._square(result)
+            result = self._apply(self._squares, result, out=result)
             if bit == "1":
                 result = self._mul_vec(result, base)
         return result
 
     @cached_property
-    def _power_traces(self) -> int:
-        """The int whose bit j is Tr(x^j), j < 2n - 1: n traces, then bit k >= n from
+    def _trace_tables(self) -> np.ndarray:
+        """Tables of the trace form A, (A y)_j = Tr(y x^j); bit 0 of A y is Tr(y).  A x^i is
+        bits i to i + n - 1 of the int whose bit k is Tr(x^k): n traces, then bit k >= n from
         x^k = x^(k - n) (x^n + modulus), the parity of the earlier bits the modulus picks."""
         bits = sum(self.trace(1 << j) << j for j in range(self.n))
         for k in range(self.n, 2 * self.n - 1):
             bits |= ((bits >> (k - self.n) & self.irreducible).bit_count() & 1) << k
-        return bits
+        return self._linear_maps([bits >> i & (self.order - 1) for i in range(self.n)])[0]
+
+    def _trace_form(self) -> np.ndarray:
+        """A y for every y of the field, in order, as a new uint32 array."""
+        lo, hi = self._trace_tables
+        return np.bitwise_xor.outer(hi, lo).ravel()
 
     @cached_property
     def _traces(self) -> np.ndarray:
-        """Tr(x) at x = hi * 2^m + lo, with no 2^n-point temporary; read-only, as shared."""
-        images = [self._power_traces >> j & 1 for j in range(self.n)]
-        lo, hi = self._linear_maps(images)[0].astype(np.uint8)
+        """Tr(x), bit 0 of the trace form, with no 2^n-point temporary; read-only, as shared."""
+        lo, hi = (self._trace_tables & 1).astype(np.uint8)
         traces = np.bitwise_xor.outer(hi, lo).ravel()
         traces.setflags(write=False)
         return traces
@@ -347,15 +357,15 @@ class FieldCtx:
 
     @cached_property
     def _residue(self) -> np.ndarray:
-        """Tables of x -> x^(2^m) + x, the Frobenius of the basis from m passes of `_square`."""
+        """Tables of x -> x^(2^m) + x, the Frobenius of the basis from m squarings."""
         basis = frobenius = np.uint32(1) << np.arange(self.n, dtype=np.uint32)
         for _ in range(self.m):
-            frobenius = self._square(frobenius)
+            frobenius = self._apply(self._squares, frobenius)
         return self._linear_maps(frobenius ^ basis)[0]
 
     def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
         """x^(2^m) + x on arr: linear, zero exactly on GF(2^m)."""
-        return self._linear_map(self._residue)(arr)
+        return self._apply(self._residue, arr)
 
     def subfield_mask(self) -> np.ndarray:
         """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""

@@ -35,12 +35,11 @@ every supported n.
 The one whole-field pass is ``_walk``: f in blocks of B = min(2^14, 2^n - 1) consecutive
 powers of alpha.  A term's share of the first block is a run of powers, and each later
 block is the one before with each run times alpha^(Bd), as (alpha^B x)^d = alpha^(Bd) x^d,
-so no exponent is raised by square-and-multiply.  A step is two table lookups written in
-place, through index and part buffers kept for the whole walk, and each block is yielded
-as a new array.  ``brute`` marks the blocks in a mask of the values seen; the spectrum
-and char_sum read them as a multiset.  Witnesses need
-x order, so ``_values_over_domain`` evaluates by `pow_vec` at the points asked for: f at the
-prefixes of a failing brute, and a monomial at the deltas of ``_first_delta``, the delta search.
+so no exponent is raised by square-and-multiply.  A step is one `FieldCtx._apply` written in
+place, and each block is yielded as a new array.  ``brute`` marks the blocks in a mask of
+the values seen; the spectrum and char_sum read them as a multiset.  Witnesses need x order,
+so ``_values_over_domain`` evaluates by `pow_vec` at the points asked for: f at the prefixes
+of a failing brute, and a monomial at the deltas of ``_first_delta``, the delta search.
 """
 
 from __future__ import annotations
@@ -111,11 +110,8 @@ _BLOCK = 1 << 14
 def _walk(poly: SparsePoly):
     """f on the nonzero points in blocks of B = min(_BLOCK, 2^n - 1) consecutive powers
     of alpha: block k holds f(alpha^(kB + i)) for i < B, as a new array.  Block 0 sums the
-    runs c (alpha^d)^i of the terms c x^d, and block k + 1 is block k with each run times
-    alpha^(Bd): one table build holds every term's step, and a step overwrites its run with
-    the lookups of its low and high m bits through two buffers reused by every block, then
-    XORs the two.  The indices are below 2^m, so mode "wrap" never wraps; unlike the default
-    mode it writes straight to ``out`` with no bounds check, and it is faster than "clip"."""
+    runs c (alpha^d)^i of the terms c x^d, and block k + 1 is block k with each run stepped
+    in place by alpha^(Bd): one table build holds every term's step."""
     ctx = poly.ctx
     size = min(_BLOCK, ctx.mult_order)
     runs = ctx.powers([ctx.pow(ctx.primitive, exp) for _, exp in poly.terms], size,
@@ -124,15 +120,10 @@ def _walk(poly: SparsePoly):
     if size == ctx.mult_order:
         return
     tables = ctx._scalar_tables([ctx.pow(ctx.primitive, size * exp) for _, exp in poly.terms])
-    low, m = np.uint32((1 << ctx.m) - 1), np.uint32(ctx.m)
-    idx, part = np.empty((2, size), dtype=np.uint32)
     for start in range(size, ctx.mult_order, size):
-        width = min(size, ctx.mult_order - start)
-        runs, idx, part = runs[:, :width], idx[:width], part[:width]
-        for run, (lo, hi) in zip(runs, tables):
-            lo.take(np.bitwise_and(run, low, out=idx), out=part, mode="wrap")
-            hi.take(np.right_shift(run, m, out=idx), out=run, mode="wrap")
-            run ^= part
+        runs = runs[:, : ctx.mult_order - start]
+        for run, pair in zip(runs, tables):
+            ctx._apply(pair, run, out=run)
         yield np.bitwise_xor.reduce(runs, axis=0)
 
 
@@ -201,9 +192,9 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
 
     With H the image histogram, S(gamma) = sum over y of H[y] (-1)^Tr(gamma*y),
     and Tr(gamma * y) is the GF(2) dot product of the bits of y with A*gamma,
-    where (A*gamma)_j = Tr(gamma * x^j).  So S is the Walsh-Hadamard
-    transform of H read at A*gamma: O(n 2^n) in all.  Every partial sum is
-    bounded by 2^n, so the int64 butterfly is exact.
+    where (A*gamma)_j = Tr(gamma * x^j), the field's trace form.  So S is the
+    Walsh-Hadamard transform of H read at A*gamma: O(n 2^n) in all.  Every
+    partial sum is bounded by 2^n, so the int64 butterfly is exact.
     """
     ctx = g.ctx
     spectrum = np.bincount(np.concatenate([*_walk(g)]), minlength=ctx.order)
@@ -216,9 +207,7 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
         hi *= -2
         hi += lo
         h *= 2
-    # A sends x^i to sum_j Tr(x^(i+j)) << j: bits i to i + n - 1 of the traces of powers
-    form = ctx._linear_maps([ctx._power_traces >> i & (ctx.order - 1) for i in range(ctx.n)])
-    return spectrum[np.bitwise_xor.outer(form[0, 1], form[0, 0]).ravel()]
+    return spectrum[ctx._trace_form()]
 
 
 def is_pp_charsum(g: SparsePoly) -> VerificationReport:

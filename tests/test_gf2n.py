@@ -361,10 +361,20 @@ def test_scalar_tables_are_scalar_mul_vec(ctx, count):
     rng = random.Random(8800 + ctx.n + count)
     scalars = [rng.randrange(ctx.order) for _ in range(count)]
     sample = np.array(rng.sample(range(ctx.order), min(ctx.order, 64)), dtype=np.uint32)
+    # a stretch as long as the last block of a walk at n = 16, drawn from the sample
+    picks = np.array(rng.choices(range(len(sample)), k=16383))
     tables = ctx._scalar_tables(scalars)
     assert tables.shape == (count, 2, 2**ctx.m)
     for c, pair in zip(scalars, tables):
-        assert ctx._linear_map(pair)(sample).tolist() == [ctx.mul(c, int(x)) for x in sample]
+        products = np.array([ctx.mul(c, int(x)) for x in sample], dtype=np.uint32)
+        for points, want in ((sample, products), (sample[picks], products[picks])):
+            assert np.array_equal(ctx._apply(pair, points), want)
+            # in place, as the walk steps its runs, and into a slice of a longer row
+            arr = points.copy()
+            assert ctx._apply(pair, arr, out=arr) is arr and np.array_equal(arr, want)
+            row = np.zeros(len(points) + 5, dtype=np.uint32)
+            ctx._apply(pair, points, out=row[3:-2])
+            assert np.array_equal(row, np.concatenate([[0] * 3, want, [0] * 2]))
 
 
 def test_subfield_residue_is_frobenius_plus_identity(ctx):
@@ -436,6 +446,16 @@ def test_scalar_ops_reject_elements_outside_the_field(alarm, op, bad):
     assert all(0 <= v < ctx.order for v in np.ravel(SCALAR_OPS[op](ctx, 63)))
 
 
+def assert_trace_form(ctx, gammas):
+    """Bit j of the trace form at gamma is Tr(gamma x^j), and bit 0 is trace_bits()[gamma]."""
+    form, tb = ctx._trace_form(), ctx.trace_bits()
+    assert form.shape == (ctx.order,)
+    for gamma in gammas:
+        assert [int(form[gamma]) >> j & 1 for j in range(ctx.n)] == [
+            ctx.trace(ctx.mul(gamma, 1 << j)) for j in range(ctx.n)]
+        assert int(form[gamma]) & 1 == tb[gamma]
+
+
 def test_trace_bits_and_subfield_mask(ctx):
     tb = ctx.trace_bits()
     assert tb.shape == (ctx.order,)
@@ -444,12 +464,18 @@ def test_trace_bits_and_subfield_mask(ctx):
     sample = random.Random(9000 + ctx.n).sample(range(ctx.order), min(40, ctx.order))
     for x in sample:
         assert int(tb[x]) == ctx.trace(x)
+    assert_trace_form(ctx, sample)
     mask = ctx.subfield_mask()
     assert int(mask.sum()) == 2**ctx.m  # GF(2^m) has exactly 2^m elements
     rows = np.array(sample[:12], dtype=np.uint32).reshape(3, 4)
     assert (ctx._subfield_residue(rows) == 0).tolist() == mask[rows].tolist()
     for x in sample:
         assert bool(mask[x]) == (ctx.pow(x, 2**ctx.m) == x)
+
+
+def test_trace_form_of_a_field_built_by_hand():
+    # a modulus and element other than the pinned ones
+    assert_trace_form(FieldCtx(6, 0x61, 0x2), range(64))
 
 
 # -- exponent canonicalization and sparse polynomials -------------------------

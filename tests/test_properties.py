@@ -178,7 +178,8 @@ def test_charsum_direct_and_brute_agree(f):
 
 
 SEAM_CIRCLES = {ctx: build_unit_circle(ctx)
-                for ctx in (field_new(16), field_new(14), field_new(12), FieldCtx(6, 0x61, 0x2))}
+                for ctx in (field_new(18), field_new(16), field_new(14), field_new(12),
+                            FieldCtx(6, 0x61, 0x2))}
 
 
 @st.composite

@@ -268,8 +268,10 @@ def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, eng
 
     monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
     # one build for the doublings of the first block (`powers`) and, above one block,
-    # one for every term's step to the next block; a spectrum adds the trace form
+    # one for every term's step to the next block; a spectrum adds the trace form, which
+    # is cached per field, so each case runs on a fresh one
     for f in pp_cases(n):
+        f = SparsePoly.make(field_new(n), f.terms)
         builds.clear()
         assert ENGINES[engine](f).verdict, f.to_spec()
         assert len(builds) == 1 + (n > 14) + (engine != "brute")

@@ -122,7 +122,8 @@ def prop1_params(case: int, m: int, k1: int, k2: int = None, k3: int = None) -> 
       6: e = 2^(k1+1) - 1, s = 2^k1 - 1,                 l = 2^k1 - 1
     Odd cases need odd k1 (cases 1-2 also matching-parity k2); cases 1-4 need
     gcd(k1, m) = 1, cases 5-6 gcd(k1*(k1+1), m) = 1.  s must come out a
-    nonnegative integer (rules out e.g. case 1 with k3 = 0).
+    nonnegative integer (rules out e.g. case 1 with k3 = 0).  Cases 3-6 take
+    no k2 or k3.
     """
     if case not in _CASE_PARITY:
         raise ValueError(f"case must be 1..6, got {case}")
@@ -134,6 +135,9 @@ def prop1_params(case: int, m: int, k1: int, k2: int = None, k3: int = None) -> 
     parity_name = "odd" if parity else "even"
     if k1 % 2 != parity:
         raise ValueError(f"case {case} requires {parity_name} k1, got {k1}")
+    if case > 2 and (k2 is not None or k3 is not None):
+        name, k = ("k2", k2) if k2 is not None else ("k3", k3)
+        raise ValueError(f"case {case} does not depend on {name}, got {name}={k}")
     if case in (1, 2):
         if k2 is None or k3 is None:
             raise ValueError(f"case {case} requires k2 and k3")

@@ -26,9 +26,10 @@ and are what make exhausting a 2^20-element domain affordable; they are cross-ch
 against the scalar routines in the test suite.  A GF(2)-linear map (a scalar multiple,
 squaring, x^(2^m) + x, the trace form) is a pair of tables holding the images of the low
 and of the high m = n/2 bits of an element, 2^m <= 1024 each; `_linear_maps` builds the
-pairs of K maps at once, `_apply` is the one lookup of a pair on an array, and over the
-whole field a map is the outer XOR of its two tables.  The product of two arrays
-(`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
+pairs of K maps at once, and `_apply` is the one lookup of a pair on an array.  Only
+`trace_bits()` and `subfield_mask()` spread a pair over the whole field, as the outer
+product of its two tables, into a new array; every cache holds one pair.  The product
+of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
 `spectra._values_over_domain`, for the witness searches.  Public scalar ops and kernels
 raise a ValueError naming any element outside the field; their inner loops (`_mul`,
@@ -338,22 +339,10 @@ class FieldCtx:
             bits |= ((bits >> (k - self.n) & self.irreducible).bit_count() & 1) << k
         return self._linear_maps([bits >> i & (self.order - 1) for i in range(self.n)])[0]
 
-    def _trace_form(self) -> np.ndarray:
-        """A y for every y of the field, in order, as a new uint32 array."""
-        lo, hi = self._trace_tables
-        return np.bitwise_xor.outer(hi, lo).ravel()
-
-    @cached_property
-    def _traces(self) -> np.ndarray:
-        """Tr(x), bit 0 of the trace form, with no 2^n-point temporary; read-only, as shared."""
-        lo, hi = (self._trace_tables & 1).astype(np.uint8)
-        traces = np.bitwise_xor.outer(hi, lo).ravel()
-        traces.setflags(write=False)
-        return traces
-
     def trace_bits(self) -> np.ndarray:
-        """Cached read-only uint8 array: absolute trace of every field element."""
-        return self._traces
+        """The absolute trace of every element as a new uint8 array: bit 0 of `_trace_tables`."""
+        lo, hi = (self._trace_tables & 1).astype(np.uint8)
+        return np.bitwise_xor.outer(hi, lo).ravel()
 
     @cached_property
     def _residue(self) -> np.ndarray:

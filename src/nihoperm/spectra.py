@@ -26,11 +26,11 @@ the unit circle is built from that field, so an engine cannot be handed a
 circle or field that does not belong to its input.  ``delta_path`` is the one
 rule that decides which delta path applies.
 
-charsum and the direct delta path both read every character sum off one
-spectrum, ``_char_spectrum``: a Walsh-Hadamard transform of the image
-histogram, O(n 2^n) for all gamma at once.  ``char_sum`` stays the direct
-O(2^n) sum for one gamma, independent of the spectrum.  Every engine runs at
-every supported n.
+charsum and the direct delta path both take their verdict from one transform
+T, ``_char_spectrum``, O(n 2^n): the sum at gamma is T[A gamma] for the trace
+form A, a bijection that fixes 0, so only a failure reads T, at the gammas its
+witness search asks for.  ``char_sum`` stays the direct O(2^n) sum for one
+gamma, independent of T.  Every engine runs at every supported n.
 
 The one whole-field pass is ``_walk``: f in blocks of B = min(2^14, 2^n - 1) consecutive
 powers of alpha.  A term's share of the first block is a run of powers, and each later
@@ -182,19 +182,20 @@ def char_sum(g: SparsePoly, gamma: int) -> int:
     ctx = g.ctx
     if not 0 <= gamma < ctx.order:
         raise ValueError(f"gamma 0x{gamma:x} outside GF(2^{ctx.n})")
-    # x = 0 adds Tr(0) = 0, so the blocks of the walk suffice
-    ones = int(ctx.trace_bits()[ctx.scalar_mul_vec(gamma, np.concatenate([*_walk(g)]))].sum())
+    # x = 0 adds Tr(0) = 0, so the blocks of the walk suffice; Tr(y) is bit 0 of A y
+    images = ctx.scalar_mul_vec(gamma, np.concatenate([*_walk(g)]))
+    ones = int((ctx._apply(ctx._trace_tables, images, out=images) & 1).sum())
     return ctx.order - 2 * ones
 
 
 def _char_spectrum(g: SparsePoly) -> np.ndarray:
-    """S(gamma) = sum over x of (-1)^Tr(gamma * g(x)), for every gamma at once.
+    """The Walsh-Hadamard transform T of the image histogram H of g: O(n 2^n).
 
-    With H the image histogram, S(gamma) = sum over y of H[y] (-1)^Tr(gamma*y),
-    and Tr(gamma * y) is the GF(2) dot product of the bits of y with A*gamma,
-    where (A*gamma)_j = Tr(gamma * x^j), the field's trace form.  So S is the
-    Walsh-Hadamard transform of H read at A*gamma: O(n 2^n) in all.  Every
-    partial sum is bounded by 2^n, so the int64 butterfly is exact.
+    S(gamma) = sum over x of (-1)^Tr(gamma * g(x)) = sum over y of H[y] (-1)^Tr(gamma*y),
+    and Tr(gamma * y) is the GF(2) dot product of the bits of y with A gamma, where
+    (A gamma)_j = Tr(gamma * x^j), the field's trace form.  So S(gamma) = T[A gamma], and
+    as A is a bijection with A 0 = 0, S vanishes off 0 iff T does.  Every partial sum is
+    bounded by 2^n, so the int64 butterfly is exact.
     """
     ctx = g.ctx
     spectrum = np.bincount(np.concatenate([*_walk(g)]), minlength=ctx.order)
@@ -207,16 +208,18 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
         hi *= -2
         hi += lo
         h *= 2
-    return spectrum[ctx._trace_form()]
+    return spectrum
 
 
 def is_pp_charsum(g: SparsePoly) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
     t0 = perf_counter()
-    failing = np.flatnonzero(_char_spectrum(g)[1:])
-    witness = 1 + int(failing[0]) if len(failing) else None
+    ctx, spectrum, witness = g.ctx, _char_spectrum(g), None
+    if spectrum[1:].any():
+        witness = _first_delta(SparsePoly.make(ctx, [(1, 1)]),
+                               lambda gammas: spectrum[ctx._apply(ctx._trace_tables, gammas)] != 0)
     return VerificationReport("charsum", witness is None, witness, perf_counter() - t0,
-                              g.ctx.field_spec())
+                              ctx.field_spec())
 
 
 def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False):
@@ -276,7 +279,8 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
         spectrum = _char_spectrum(f)
         if spectrum[1:].any():
             g = SparsePoly.make(ctx, [(ctx.inv(c1), d1)])
-            witness = _first_delta(g, lambda gammas: spectrum[gammas] != 0)
+            witness = _first_delta(
+                g, lambda gammas: spectrum[ctx._apply(ctx._trace_tables, gammas)] != 0)
     return VerificationReport(engine, witness is None, witness, perf_counter() - t0,
                               ctx.field_spec())
 

@@ -282,6 +282,15 @@ def test_generate_cpp_class_without_k_refuses_k(capsys):
     assert err == "nihoperm: error: class 3 does not depend on k, got k=5\n"
 
 
+def test_generate_prop1_refuses_k_its_case_does_not_use(capsys):
+    # cases 3-6 use k1 alone; k2 and k3 were once accepted and written into the rows
+    code, out, err = run_cli(
+        capsys, "generate", "prop1", "3", "--m", "3", "--k1", "1", "--k2", "5", "--k3", "2"
+    )
+    assert code == 64 and out == ""
+    assert err == "nihoperm: error: case 3 does not depend on k2, got k2=5\n"
+
+
 def test_generate_cor2_and_cpp_class(capsys):
     code, out, _ = run_cli(capsys, "generate", "cor2", "--m", "3", "--s", "6", "--check")
     assert code == 0

@@ -169,6 +169,8 @@ def test_prop1_params_validation():
         prop1_params(1, 3, 1, 3, 1)  # s = 1 - 4 + 1 = -2
     with pytest.raises(ValueError, match="nonnegative integer s"):
         prop1_params(1, 3, 1, 1, 0)  # s = 1/2 - 1 + 1 is fractional
+    with pytest.raises(ValueError, match="case 6 does not depend on k3, got k3=0"):
+        prop1_params(6, 5, 2, None, 0)
 
 
 def test_prop1_sweep_always_lands_on_r3():

@@ -19,7 +19,7 @@ built by hand with another modulus.
 
 from math import gcd
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from nihoperm.gf2n import FieldCtx, SparsePoly, field_new
@@ -211,6 +211,8 @@ def test_engines_agree_across_the_walk_seam(f):
     charsum = is_pp_charsum(f)
     direct = is_pp_delta_criterion(f, force_direct=True)
     default = is_pp_delta_criterion(f)
+    # --hypothesis-show-statistics counts the draws of each n, and how many fail
+    event(f"n={f.ctx.n} verdict={brute.verdict}")
     assert brute.verdict == charsum.verdict == direct.verdict == default.verdict
     if default.engine == "niho":
         assert default.witness == direct.witness

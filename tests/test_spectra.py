@@ -268,13 +268,13 @@ def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, eng
 
     monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
     # one build for the doublings of the first block (`powers`) and, above one block,
-    # one for every term's step to the next block; a spectrum adds the trace form, which
-    # is cached per field, so each case runs on a fresh one
+    # one for every term's step to the next block; a spectrum's verdict builds no trace
+    # form.  Each case runs on a fresh field, so no table an earlier case cached hides a build
     for f in pp_cases(n):
         f = SparsePoly.make(field_new(n), f.terms)
         builds.clear()
         assert ENGINES[engine](f).verdict, f.to_spec()
-        assert len(builds) == 1 + (n > 14) + (engine != "brute")
+        assert len(builds) == 1 + (n > 14)
 
 
 def test_pow_vec_is_reached_only_through_values_over_domain(monkeypatch):
@@ -320,11 +320,16 @@ def test_spectra_of_one_field_compute_the_trace_form_once(monkeypatch, n):
 
     monkeypatch.setattr(FieldCtx, "trace", counted)
     ctx = field_new(n)
-    f, g = four_terms(ctx, random.Random(2100 + n)), SparsePoly.make(ctx, [(1, 1)])
-    # n traces, on the basis; the modulus gives Tr(x^j) for n <= j < 2n - 1 from them
-    spectra._char_spectrum(f)
+    pp, fails = SparsePoly.make(ctx, [(1, 1)]), SparsePoly.make(ctx, [(1, 1), (1, 3)])
+    # a PP's verdict reads no trace
+    assert is_pp_charsum(pp).verdict and is_pp_delta_criterion(pp, force_direct=True).verdict
+    assert calls == []
+    # a witness search does: n traces, on the basis; the modulus gives Tr(x^j) for
+    # n <= j < 2n - 1 from them, and the field keeps the form for every later reader
+    assert not is_pp_charsum(fails).verdict
     assert len(calls) == n
-    spectra._char_spectrum(g)
+    assert not is_pp_delta_criterion(fails, force_direct=True).verdict
+    char_sum(fails, 1)
     ctx.trace_bits()
     assert len(calls) == n
 
@@ -566,7 +571,8 @@ def test_char_spectrum_matches_scalar_oracle():
     for n in (4, 6):
         ctx = field_new(n)
         for f in [SparsePoly.make(ctx, [(1, 3)])] + [random_poly(ctx, rng) for _ in range(3)]:
-            spectrum = spectra._char_spectrum(f)
+            # the sum at gamma is the transform read at the trace form of gamma
+            spectrum = spectra._char_spectrum(f)[ctx._apply(ctx._trace_tables, ctx.domain())]
             assert spectrum.tolist() == [char_sum_oracle(f, g) for g in range(ctx.order)]
 
 
@@ -630,6 +636,23 @@ def test_spectrum_engines_agree_with_brute_at_large_n(n):
         assert is_permutation_brute(f).verdict == charsum.verdict == direct.verdict == want
         if not want:
             assert char_sum(f, charsum.witness) != 0
+
+
+@pytest.mark.parametrize("n, spec, charsum, direct, default, brute", [
+    (16, "d632:29929,1:48859", 7, 1, ("delta_criterion", 1), (0, 382)),
+    (18, "1:21107,35b3c:224996", 3, 2, ("niho", 2), (195, 267)),
+    (18, "1:514,25401:261124", 1, 1, ("niho", 1), (0, 923)),
+])
+def test_witnesses_above_the_walk_seam(n, spec, charsum, direct, default, brute):
+    # non-PPs past one block of the walk: every witness search runs over stepped blocks
+    f = SparsePoly.from_spec(field_new(n), spec)
+    rep = is_pp_delta_criterion(f)
+    assert is_pp_charsum(f).witness == charsum
+    assert is_pp_delta_criterion(f, force_direct=True).witness == direct
+    assert (rep.engine, rep.witness) == default
+    assert is_permutation_brute(f).witness == brute
+    sums = [char_sum(f, gamma) for gamma in range(1, charsum + 1)]
+    assert sums[-1] != 0 and not any(sums[:-1])
 
 
 # -- delta-criterion engine ------------------------------------------------------

@@ -26,8 +26,8 @@ and are what make exhausting a 2^20-element domain affordable; they are cross-ch
 against the scalar routines in the test suite.  A GF(2)-linear map (a scalar multiple,
 squaring, x^(2^m) + x, the trace form) is a pair of tables holding the images of the low
 and of the high m = n/2 bits of an element, 2^m <= 1024 each; `_linear_maps` builds the
-pairs of K maps at once, and `_apply` is the one lookup of a pair on an array.  Only
-`trace_bits()` and `subfield_mask()` spread a pair over the whole field, as the outer
+pairs of K maps at once, read-only, and `_apply` is the one lookup of a pair on an array.
+Only `trace_bits()` and `subfield_mask()` spread a pair over the whole field, as the outer
 product of its two tables, into a new array; every cache holds one pair.  The product
 of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
@@ -280,6 +280,7 @@ class FieldCtx:
         tables = np.zeros((len(halves), 2, 1 << self.m), dtype=np.uint32)
         for j in range(self.m):
             np.bitwise_xor(tables[..., : 1 << j], halves[:, :, j], out=tables[..., 1 << j : 2 << j])
+        tables.setflags(write=False)  # the cached pairs are shared by every caller of a field
         return tables
 
     def _scalar_tables(self, scalars) -> np.ndarray:
@@ -331,13 +332,15 @@ class FieldCtx:
 
     @cached_property
     def _trace_tables(self) -> np.ndarray:
-        """Tables of the trace form A, (A y)_j = Tr(y x^j); bit 0 of A y is Tr(y).  A x^i is
-        bits i to i + n - 1 of the int whose bit k is Tr(x^k): n traces, then bit k >= n from
-        x^k = x^(k - n) (x^n + modulus), the parity of the earlier bits the modulus picks."""
-        bits = sum(self.trace(1 << j) << j for j in range(self.n))
-        for k in range(self.n, 2 * self.n - 1):
-            bits |= ((bits >> (k - self.n) & self.irreducible).bit_count() & 1) << k
-        return self._linear_maps([bits >> i & (self.order - 1) for i in range(self.n)])[0]
+        """Tables of the trace form A, (A y)_j = Tr(y x^j); bit 0 of A y is Tr(y).  A x^i is bits
+        i to i + n - 1 of the int whose bit k is s_k = Tr(x^k), from the modulus x^n + e_1
+        x^(n-1) + ... + e_n by Newton's identities over GF(2): with s_0 = Tr(1) = 0 (n even),
+        s_k = k e_k [k <= n] + e_1 s_(k-1) + ... + e_j s_(k-j), j = min(k, n): earlier bits."""
+        n, bits = self.n, 0
+        for k in range(1, 2 * n - 1):
+            odd = k < n and k & 1 and self.irreducible >> (n - k) & 1  # k e_k
+            bits |= ((bits << n >> k & self.irreducible).bit_count() + odd) % 2 << k
+        return self._linear_maps([bits >> i & (self.order - 1) for i in range(n)])[0]
 
     def trace_bits(self) -> np.ndarray:
         """The absolute trace of every element as a new uint8 array: bit 0 of `_trace_tables`."""

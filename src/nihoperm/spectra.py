@@ -22,9 +22,9 @@ serve as an oracle for the others:
 
 Every engine takes only its polynomial (or, for ``unique_solution_check``,
 its exponent parameters and coefficient): the field comes from the input and
-the unit circle is built from that field, so an engine cannot be handed a
-circle or field that does not belong to its input.  ``delta_path`` is the one
-rule that decides which delta path applies.
+the unit circle from that field, built once per field and shared, so an engine
+cannot be handed a circle or field that does not belong to its input.
+``delta_path`` is the one rule that decides which delta path applies.
 
 charsum and the direct delta path both take their verdict from one transform
 T, ``_char_spectrum``, O(n 2^n): the sum at gamma is T[A gamma] for the trace
@@ -49,6 +49,7 @@ from math import gcd
 from time import perf_counter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import NihoParams, _require_theorem1
 from .gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
@@ -288,23 +289,28 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
 def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     """The unit-circle count N(t) for every class t in [0, 2^m + 1).
 
-    N(t) = #{lam on the circle : lam^d1 + sum_i c_i g^(t q_i) lam^(d_i) lies
-    in GF(2^m)}, where ``ds`` = [d1, d_2, ...], g is the circle generator and
-    ``circle.elements[i]`` = g^i.  Writing lam = g^a, a term is
-    (c_i * elements)[(t q_i + a d_i) mod M] with M = 2^m + 1, so one
-    (rows x M) array of table lookups holds every class; each table holds
-    the image of its term under x -> x^(2^m) + x, linear with kernel GF(2^m).
-    N(t) depends on t only mod M / gcd(M, q_1, ...); only those rows are computed.
+    N(t) = #{lam on the circle : lam^d1 + sum_i c_i g^(t q_i) lam^(d_i) lies in GF(2^m)},
+    where ``ds`` = [d1, d_2, ...], g is the circle generator and ``circle.elements[i]`` = g^i.
+    Writing lam = g^a, a term is T[(t q_i + a d_i) mod M], M = 2^m + 1, with T the image of
+    c_i * elements under x -> x^(2^m) + x (kernel GF(2^m)): a (rows x M) array per term.  Its
+    row t is the window of T[a d_i mod M], doubled, from t q_i / d_i mod M if d_i is prime to
+    M, else a gather from T doubled at uint16 indices.  N(t) depends on t only mod
+    M / gcd(M, q_1, ...); only those rows are computed.
     """
     ctx = circle.ctx
     pts = np.array(circle.elements, dtype=np.uint32)
     M = len(pts)
     t = np.arange(M // gcd(M, *qs))[:, None]
     a = np.arange(M)
-    h = np.tile(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), 1))
+    h = np.broadcast_to(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), M))
     for c, d, q in zip(coeffs, ds[1:], qs):
-        h ^= ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))[(t * q + a * d) % M]
-    return np.resize((h == 0).sum(axis=1), M)
+        T = ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))
+        if gcd(d, M) == 1:
+            term = sliding_window_view(np.tile(T[a * d % M], 2), M)[t[:, 0] * q * pow(d, -1, M) % M]
+        else:
+            term = np.tile(T, 2)[(t * q % M).astype(np.uint16) + (a * d % M).astype(np.uint16)]
+        h = np.bitwise_xor(term, h, out=term)
+    return np.resize(M - np.count_nonzero(h, axis=1), M)
 
 
 def _first_delta(g: SparsePoly, fails) -> int:

@@ -10,7 +10,7 @@ reduce to counting solutions on U, which has only 2^m + 1 points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 from .gf2n import FieldCtx
@@ -41,8 +41,10 @@ class UnitCircle:
         return x in self.index
 
 
+@cache
 def build_unit_circle(ctx: FieldCtx) -> UnitCircle:
-    """Materialize U = {x : x^(2^m + 1) = 1} as powers of a fixed generator."""
+    """Materialize U = {x : x^(2^m + 1) = 1} as powers of a fixed generator, once per field
+    (cached by the ctx, equal by value): callers share it and, by ``circle.ctx``, its tables."""
     g = ctx.pow(ctx.primitive, 2**ctx.m - 1)
     pts = ctx.powers(g, 2**ctx.m + 1)
     return UnitCircle(ctx=ctx, generator=g, elements=tuple(pts.tolist()))

@@ -310,6 +310,11 @@ def test_linear_kernels_on_every_element(n):
 
 def test_cached_arrays_are_not_handed_out_writable():
     ctx = field_new(6)
+    # the cached table pairs are shared by every caller of the field
+    for tables in (ctx._squares, ctx._residue, ctx._trace_tables):
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0, 1] = 0
     x = SparsePoly.make(ctx, [(1, 1)])
     ctx.trace_bits()[:] = 0
     assert char_sum(x, 1) == 0 and int(ctx.trace_bits().sum()) == ctx.order // 2
@@ -479,6 +484,16 @@ def test_trace_bits_and_subfield_mask(ctx):
 def test_trace_form_of_a_field_built_by_hand():
     # a modulus and element other than the pinned ones
     assert_trace_form(FieldCtx(6, 0x61, 0x2), range(64))
+
+
+@pytest.mark.parametrize("n", [*SUPPORTED_N, "by hand"])
+def test_trace_form_from_the_modulus_matches_scalar_traces(n):
+    # Newton's identities read Tr(x^k) off the modulus; the scalar trace squares its way there
+    ctx = FieldCtx(6, 0x61, 0x2) if n == "by hand" else field_new(n)
+    lo, hi = ctx._trace_tables
+    images = [int(lo[1 << i] if i < ctx.m else hi[1 << (i - ctx.m)]) for i in range(ctx.n)]
+    assert images == [sum(ctx.trace(ctx.mul(1 << i, 1 << j)) << j for j in range(ctx.n))
+                      for i in range(ctx.n)]
 
 
 # -- exponent canonicalization and sparse polynomials -------------------------

@@ -9,6 +9,7 @@ first-failure semantics.
 import random
 import sys
 import tracemalloc
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -258,6 +259,21 @@ def counted_table_builds(monkeypatch):
     return builds
 
 
+def counted_builds(monkeypatch, table):
+    """A list that grows by the ctx of each build of the cached table FieldCtx.<table>."""
+    builds = []
+    build = getattr(FieldCtx, table).func
+
+    def counted(ctx):
+        builds.append(ctx)
+        return build(ctx)
+
+    prop = cached_property(counted)
+    prop.__set_name__(FieldCtx, table)
+    monkeypatch.setattr(FieldCtx, table, prop)
+    return builds
+
+
 @pytest.mark.parametrize("engine", list(ENGINES))
 @pytest.mark.parametrize("n", [4, 8, 10, 14, 20])
 def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, engine):
@@ -311,11 +327,12 @@ def test_walk_builds_tables_for_the_first_block_and_the_steps_only(monkeypatch, 
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_spectra_of_one_field_compute_the_trace_form_once(monkeypatch, n):
-    calls = []
+    builds = counted_builds(monkeypatch, "_trace_tables")
+    traces = []
     trace = FieldCtx.trace
 
     def counted(ctx, a, sub_m=1):
-        calls.append(a)
+        traces.append(a)
         return trace(ctx, a, sub_m)
 
     monkeypatch.setattr(FieldCtx, "trace", counted)
@@ -323,15 +340,15 @@ def test_spectra_of_one_field_compute_the_trace_form_once(monkeypatch, n):
     pp, fails = SparsePoly.make(ctx, [(1, 1)]), SparsePoly.make(ctx, [(1, 1), (1, 3)])
     # a PP's verdict reads no trace
     assert is_pp_charsum(pp).verdict and is_pp_delta_criterion(pp, force_direct=True).verdict
-    assert calls == []
-    # a witness search does: n traces, on the basis; the modulus gives Tr(x^j) for
-    # n <= j < 2n - 1 from them, and the field keeps the form for every later reader
+    assert builds == []
+    # a witness search builds the trace form, from the modulus with no scalar trace, and
+    # the field keeps it for every later reader
     assert not is_pp_charsum(fails).verdict
-    assert len(calls) == n
+    assert builds == [ctx]
     assert not is_pp_delta_criterion(fails, force_direct=True).verdict
     char_sum(fails, 1)
     ctx.trace_bits()
-    assert len(calls) == n
+    assert builds == [ctx] and traces == []
 
 
 @pytest.mark.parametrize("n", [4, 10, 14])
@@ -815,6 +832,79 @@ def test_circle_count_input_validation(ctx6):
         count_unit_circle_solutions(ctx6, [7, 14], [1])
     with pytest.raises(ValueError, match="outside"):
         count_unit_circle_solutions(ctx6, [10, 52], [64])
+
+
+def circle_counts_reference(circle, ds, coeffs, qs):
+    """`spectra._circle_counts` by (rows x M) int64 index arithmetic mod M, term by term."""
+    ctx = circle.ctx
+    pts = np.array(circle.elements, dtype=np.uint32)
+    M = len(pts)
+    t = np.arange(M // gcd(M, *qs))[:, None]
+    a = np.arange(M)
+    h = np.tile(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), 1))
+    for c, d, q in zip(coeffs, ds[1:], qs):
+        h ^= ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))[(t * q + a * d) % M]
+    return np.resize((h == 0).sum(axis=1), M)
+
+
+def circle_count_args(ctx, rng, qs):
+    """(ds, coeffs, qs) of x^d1 + sum c_i x^(d1 - q_i (2^m - 1)) for random nonzero c_i and
+    the first pivot d1 from 2^m + 3 that is coprime to 2^n - 1."""
+    N = ctx.mult_order
+    d1 = next(d for d in range(2**ctx.m + 3, N) if gcd(d, N) == 1)
+    ds = [d1] + [(d1 - q * (2**ctx.m - 1)) % N for q in qs]
+    return ds, [rng.randrange(1, ctx.order) for _ in qs], qs
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_circle_counts_match_the_int64_reference(m):
+    ctx = field_new(2 * m)
+    circle = build_unit_circle(ctx)
+    M, rng = circle.order, random.Random(3100 + m)
+    p = next(p for p in range(3, M + 1) if M % p == 0)  # the least prime factor of M
+    for k in (1, 2, 3):
+        every = circle_count_args(ctx, rng, [1] + [rng.randrange(M) for _ in range(k - 1)])
+        few = circle_count_args(ctx, rng, [p * rng.randrange(M // p) for _ in range(k)])
+        assert M // gcd(M, *few[2]) < M
+        # a last q with d1 + 2q = 0 mod p makes p divide d = d1 - q (2^m - 1)
+        qs = [rng.randrange(M) for _ in range(k - 1)] + [-every[0][0] * (p + 1) // 2 % p]
+        shared = circle_count_args(ctx, rng, qs)
+        assert shared[0][-1] % p == 0
+        zero = (every[0], [0] + every[1][1:], every[2])
+        for ds, coeffs, qs in (every, few, shared, zero):
+            want = circle_counts_reference(circle, ds, coeffs, qs)
+            assert spectra._circle_counts(circle, ds, coeffs, qs).tolist() == want.tolist()
+
+
+def test_circle_count_peak_memory_at_m10():
+    circle = build_unit_circle(field_new(20))
+    ds, coeffs, qs = circle_count_args(circle.ctx, random.Random(3200), [1])
+    spectra._circle_counts(circle, ds, coeffs, qs)  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        spectra._circle_counts(circle, ds, coeffs, qs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 1025 rows: the term's 1025^2 uint32 entries, copied from windows of its table
+    # (about 5 MiB); int64 index arithmetic mod M needs about 20 MiB
+    assert peak <= 8 * 2**20
+
+
+def test_circle_verdicts_share_the_circle_and_its_tables(monkeypatch):
+    params = make_niho(10, 0, 5, 1)
+    u = gen_theorem1(params)[0].u
+    f = SparsePoly.from_spec(field_new(20), "1:1,1:1043461")
+    unique_solution_check(params, u)
+    is_pp_delta_criterion(f)
+    residues = counted_builds(monkeypatch, "_residue")
+    powers, original = [], FieldCtx.powers
+    monkeypatch.setattr(FieldCtx, "powers", lambda *a, **k: powers.append(a) or original(*a, **k))
+    # each call builds its own field; the circle, and its ctx's residue tables, are shared
+    assert unique_solution_check(params, u).verdict
+    f = SparsePoly.make(field_new(20), f.terms)
+    assert is_pp_delta_criterion(f).witness == 1
+    assert residues == [] and powers == []
 
 
 # -- unique-solution check -----------------------------------------------------------

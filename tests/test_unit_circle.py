@@ -51,6 +51,12 @@ def test_elements_are_generator_powers_at_n20():
         assert circle.elements[i] == ctx.pow(circle.generator, i)
 
 
+def test_each_field_has_one_circle():
+    # field_new builds a new ctx on every call; equal fields share the circle and its tables
+    for n in (6, 20):
+        assert build_unit_circle(field_new(n)) is build_unit_circle(field_new(n))
+
+
 def test_generator_has_full_order(ctx, circle):
     g = circle.generator
     assert ctx.pow(g, circle.order) == 1

@@ -49,7 +49,6 @@ from math import gcd
 from time import perf_counter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import NihoParams, _require_theorem1
 from .gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
@@ -292,10 +291,10 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     N(t) = #{lam on the circle : lam^d1 + sum_i c_i g^(t q_i) lam^(d_i) lies in GF(2^m)},
     where ``ds`` = [d1, d_2, ...], g is the circle generator and ``circle.elements[i]`` = g^i.
     Writing lam = g^a, a term is T[(t q_i + a d_i) mod M], M = 2^m + 1, with T the image of
-    c_i * elements under x -> x^(2^m) + x (kernel GF(2^m)): a (rows x M) array per term.  Its
-    row t is the window of T[a d_i mod M], doubled, from t q_i / d_i mod M if d_i is prime to
-    M, else a gather from T doubled at uint16 indices.  N(t) depends on t only mod
-    M / gcd(M, q_1, ...); only those rows are computed.
+    c_i * elements under x -> x^(2^m) + x (kernel GF(2^m)): one (rows x M) gather per term
+    from T doubled, at the uint16 indices (t q_i mod M) + (a d_i mod M) < 2M, so nothing is
+    reduced mod M.  N(t) depends on t only mod M / gcd(M, q_1, ...); only those rows are
+    computed.
     """
     ctx = circle.ctx
     pts = np.array(circle.elements, dtype=np.uint32)
@@ -304,11 +303,8 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     a = np.arange(M)
     h = np.broadcast_to(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), M))
     for c, d, q in zip(coeffs, ds[1:], qs):
-        T = ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))
-        if gcd(d, M) == 1:
-            term = sliding_window_view(np.tile(T[a * d % M], 2), M)[t[:, 0] * q * pow(d, -1, M) % M]
-        else:
-            term = np.tile(T, 2)[(t * q % M).astype(np.uint16) + (a * d % M).astype(np.uint16)]
+        term = np.tile(ctx._subfield_residue(ctx.scalar_mul_vec(c, pts)), 2)[
+            (t * q % M).astype(np.uint16) + (a * d % M).astype(np.uint16)]
         h = np.bitwise_xor(term, h, out=term)
     return np.resize(M - np.count_nonzero(h, axis=1), M)
 

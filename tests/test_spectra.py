@@ -886,8 +886,8 @@ def test_circle_count_peak_memory_at_m10():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all 1025 rows: the term's 1025^2 uint32 entries, copied from windows of its table
-    # (about 5 MiB); int64 index arithmetic mod M needs about 20 MiB
+    # all 1025 rows: the term's 1025^2 uint32 entries, gathered at uint16 indices (about
+    # 6 MiB); int64 index arithmetic mod M needs about 20 MiB
     assert peak <= 8 * 2**20
 
 

@@ -42,7 +42,7 @@ from .exponents import (
     check_theorem1,
     make_niho,
 )
-from .gf2n import _PINNED, FieldCtx, SparsePoly, field_new
+from .gf2n import FieldCtx, SparsePoly, field_new
 from .spectra import VerificationReport, is_cpp, is_permutation_brute
 from .unit_circle import UnitCircle, build_unit_circle, complement_coset
 
@@ -68,13 +68,11 @@ class FamilyInstance:
 
 
 def _field(n: int, ctx: FieldCtx = None) -> FieldCtx:
-    """field_new(n), or ``ctx`` when it equals that field; any other ctx is
-    a ValueError naming both.  A ctx is checked by its key, with no field built."""
-    if ctx is None:
-        return field_new(n)
-    if not isinstance(ctx, FieldCtx) or ctx._key() != (n, *_PINNED.get(n, ())):
-        raise ValueError(f"field {ctx!r} does not match {field_new(n)!r} for n={n}")
-    return ctx
+    """field_new(n), if ``ctx`` is None or equals it; any other ctx is a ValueError naming both."""
+    field = field_new(n)
+    if ctx not in (None, field):
+        raise ValueError(f"field {ctx!r} does not match {field!r} for n={n}")
+    return field
 
 
 def _coset_family(family_id: str, claim: str, p: NihoParams, r: int,
@@ -83,10 +81,10 @@ def _coset_family(family_id: str, claim: str, p: NihoParams, r: int,
 
     A PP claim gets the binomial x^d1 + u*x^d2, a CPP claim the monomial
     u^(-1)*x^d1.  ``ctx`` and ``circle`` default to p's field and its circle
-    and must be those.  The generators keep them as optional positional
-    parameters: ``scan_families`` passes one field and circle per m so that
-    every tuple shares their tables, and the benchmark workloads in
-    ``perfbench/workloads.py`` pass them positionally.
+    and must be those.  Both are one per field already; the generators keep
+    them as optional positional parameters because ``perfbench/workloads.py``
+    passes them, and ``scan_families`` hands over its one circle per m, which
+    the benchmark's tests count as one traced ``build_unit_circle`` per m.
     """
     ctx = _field(p.n, ctx)
     if circle is None:
@@ -362,8 +360,7 @@ def scan_families(
     generators = dict(zip(FAMILY_GROUPS, (gen_theorem1, gen_prop1, gen_prop3,
                                           gen_cpp_cor2, gen_cpp_class, gen_conjecture)))
     records = []
-    for m in m_range:
-        ctx = field_new(2 * m)
+    for m, ctx in [(m, field_new(2 * m)) for m in m_range]:  # refuse any m before a sweep
         circle = build_unit_circle(ctx)
         cache = {}
         for group in FAMILY_GROUPS:

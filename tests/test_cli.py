@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from nihoperm import cli
+from nihoperm import cli, families
 from nihoperm.gf2n import field_new
 from nihoperm.spectra import VerificationReport
 from nihoperm.unit_circle import build_unit_circle, complement_coset
@@ -364,13 +364,26 @@ def test_scan_jsonl(capsys):
     assert len(objs) == 2 and all(o["report"]["verdict"] for o in objs)
 
 
-def test_scan_usage_errors(capsys):
+def no_engine(monkeypatch):
+    """Make every claim check of the family layer fail the test if it runs."""
+    def refused(poly):
+        raise AssertionError(f"an engine ran on {poly.to_spec()}")
+
+    monkeypatch.setattr(families, "is_permutation_brute", refused)
+    monkeypatch.setattr(families, "is_cpp", refused)
+
+
+def test_scan_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "scan", "--m", "3", "--m", "3")
     assert code == 64 and "duplicate" in err
     code, _, err = run_cli(capsys, "scan", "--families", "conj")
     assert code == 64 and "at least one --m" in err
     code, _, err = run_cli(capsys, "scan", "--m", "11")
     assert code == 64 and "n=22" in err
+    # the field layer refuses m = 11 before m = 3 is scanned
+    no_engine(monkeypatch)
+    code, out, err = run_cli(capsys, "scan", "--m", "3", "--m", "11")
+    assert code == 64 and out == "" and "n=22" in err
     code, _, err = run_cli(capsys, "scan", "--m", "3", "--families", "prop2")
     assert code == 64 and "unknown family group" in err
 
@@ -404,11 +417,15 @@ def test_conjecture_json(capsys):
     assert [r["family_id"] for r in obj["results"]] == ["CONJ_F", "CONJ_G"]
 
 
-def test_conjecture_usage_errors(capsys):
+def test_conjecture_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "conjecture", "--m", "4")
     assert code == 64 and "odd" in err
     code, _, err = run_cli(capsys, "conjecture", "--m", "11")
     assert code == 64 and "n=22" in err
+    # every instance is built, and m = 11 refused, before m = 3 is verified
+    no_engine(monkeypatch)
+    code, out, err = run_cli(capsys, "conjecture", "--m", "3,11")
+    assert code == 64 and out == "" and "n=22" in err
     code, _, err = run_cli(capsys, "conjecture", "--m", "3,x")
     assert code == 64 and "comma list" in err
 

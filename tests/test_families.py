@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from nihoperm import families
 from nihoperm.exponents import make_niho
 from nihoperm.families import (
     CPP,
@@ -161,6 +162,8 @@ def test_prop1_params_validation():
         prop1_params(4, 3, 1)
     with pytest.raises(ValueError, match="requires odd k2"):
         prop1_params(1, 3, 1, 2, 1)
+    with pytest.raises(ValueError, match="k2 and k3 must be nonnegative"):
+        prop1_params(1, 3, 1, -1, 1)
     with pytest.raises(ValueError, match=r"gcd\(k1,m\)=1"):
         prop1_params(3, 3, 3)
     with pytest.raises(ValueError, match=r"gcd\(k1\(k1\+1\),m\)=1"):
@@ -340,6 +343,14 @@ def test_scan_families_empty_and_unknown_group():
         scan_families([3], families=("thm1", "prop2"))
 
 
+def test_scan_families_refuses_every_m_before_it_scans_any(monkeypatch):
+    calls = []
+    monkeypatch.setattr(families, "is_permutation_brute", lambda poly: calls.append(poly))
+    with pytest.raises(ValueError, match="n=22"):
+        scan_families([3, 11])
+    assert calls == []
+
+
 def test_scan_families_rejects_budget_and_k_max_below_range():
     # a zero budget used to verify nothing, a negative one to fail inside
     # random.sample, and a negative k_max to empty two sweeps quietly
@@ -353,6 +364,7 @@ def test_scan_families_rejects_budget_and_k_max_below_range():
 
 def test_scan_families_m3_all_verified(monkeypatch):
     # one field for the one m: the generators compare the ctx they get, not rebuild it
+    field_new.cache_clear()
     built = []
     init = FieldCtx.__init__
     monkeypatch.setattr(FieldCtx, "__init__", lambda ctx, *a: built.append(a) or init(ctx, *a))

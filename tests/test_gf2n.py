@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nihoperm import gf2n
 from nihoperm.gf2n import (
     SUPPORTED_N,
     FieldCtx,
@@ -223,7 +224,8 @@ def test_field_spec_shape(ctx):
 
 def test_field_equality_is_by_value():
     for n in SUPPORTED_N:
-        a, b = field_new(n), field_new(n)
+        a, b = field_new(n), FieldCtx(n, *gf2n._PINNED[n])  # one field per n; b by hand
+        assert a is field_new(n)
         assert a is not b and a == b and hash(a) == hash(b)
     assert field_new(6) != field_new(8)
     assert field_new(6) != FieldCtx(6, 0x61, 0x2)  # same n, another modulus

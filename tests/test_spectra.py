@@ -30,7 +30,7 @@ from nihoperm.spectra import (
     is_pp_delta_criterion,
     unique_solution_check,
 )
-from nihoperm import spectra
+from nihoperm import gf2n, spectra
 from nihoperm.unit_circle import build_unit_circle, complement_coset, power_subgroup
 
 
@@ -285,9 +285,9 @@ def test_pp_verdicts_build_few_tables_and_never_call_pow_vec(monkeypatch, n, eng
     monkeypatch.setattr(FieldCtx, "pow_vec", no_pow_vec)
     # one build for the doublings of the first block (`powers`) and, above one block,
     # one for every term's step to the next block; a spectrum's verdict builds no trace
-    # form.  Each case runs on a fresh field, so no table an earlier case cached hides a build
+    # form.  Each case runs on a field built by hand, so no table cached before hides a build
     for f in pp_cases(n):
-        f = SparsePoly.make(field_new(n), f.terms)
+        f = SparsePoly.make(FieldCtx(n, *gf2n._PINNED[n]), f.terms)
         builds.clear()
         assert ENGINES[engine](f).verdict, f.to_spec()
         assert len(builds) == 1 + (n > 14)
@@ -302,8 +302,8 @@ def test_pow_vec_is_reached_only_through_values_over_domain(monkeypatch):
         return pow_vec(ctx, arr, k)
 
     monkeypatch.setattr(FieldCtx, "pow_vec", recorded)
-    # a fresh field squares its way to the subfield residue
-    ctx = field_new(10)
+    # a field built by hand, with no table yet, squares its way to the subfield residue
+    ctx = FieldCtx(10, *gf2n._PINNED[10])
     ctx._subfield_residue(np.arange(8, dtype=np.uint32))
     ctx.subfield_mask()
     assert callers == []
@@ -336,7 +336,7 @@ def test_spectra_of_one_field_compute_the_trace_form_once(monkeypatch, n):
         return trace(ctx, a, sub_m)
 
     monkeypatch.setattr(FieldCtx, "trace", counted)
-    ctx = field_new(n)
+    ctx = FieldCtx(n, *gf2n._PINNED[n])  # by hand: `field_new(n)` may hold the form already
     pp, fails = SparsePoly.make(ctx, [(1, 1)]), SparsePoly.make(ctx, [(1, 1), (1, 3)])
     # a PP's verdict reads no trace
     assert is_pp_charsum(pp).verdict and is_pp_delta_criterion(pp, force_direct=True).verdict
@@ -900,9 +900,10 @@ def test_circle_verdicts_share_the_circle_and_its_tables(monkeypatch):
     residues = counted_builds(monkeypatch, "_residue")
     powers, original = [], FieldCtx.powers
     monkeypatch.setattr(FieldCtx, "powers", lambda *a, **k: powers.append(a) or original(*a, **k))
-    # each call builds its own field; the circle, and its ctx's residue tables, are shared
+    # the circle, and its ctx's residue tables, are shared by every field equal to its ctx,
+    # the one `field_new(20)` or one built by hand
     assert unique_solution_check(params, u).verdict
-    f = SparsePoly.make(field_new(20), f.terms)
+    f = SparsePoly.make(FieldCtx(20, *gf2n._PINNED[20]), f.terms)
     assert is_pp_delta_criterion(f).witness == 1
     assert residues == [] and powers == []
 

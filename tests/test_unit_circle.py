@@ -114,6 +114,11 @@ def test_power_subgroup_validation(circle):
         power_subgroup(circle, -2)
 
 
+def test_complement_coset_validation(circle):
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        complement_coset(circle, 0)
+
+
 def test_polar_decompose_reassembles(ctx, circle):
     m = ctx.n // 2
     sub_order = 2**m - 1

@@ -38,7 +38,6 @@ from .gf2n import (
     FieldCtx,
     SparsePoly,
     canonical_exponent,
-    eval_sparse,
     field_new,
 )
 from .spectra import (

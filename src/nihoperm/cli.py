@@ -251,7 +251,7 @@ def cmd_generate(args) -> int:
         for inst, rep in records:
             line = (
                 f"family={inst.family_id} m={inst.m} "
-                f"poly={inst.poly.to_spec()} claims={'+'.join(sorted(inst.claims))}"
+                f"poly={inst.poly.to_spec()} claims={inst.claim}"
             )
             if inst.u is not None:
                 line += f" u=0x{inst.u:x}"

@@ -36,7 +36,6 @@ class NihoParams:
     n: int
     d1: int
     d2: int
-    gcd_d1_one: bool
 
 
 def make_niho(m: int, s: int, l: int, e: int) -> NihoParams:
@@ -55,9 +54,7 @@ def make_niho(m: int, s: int, l: int, e: int) -> NihoParams:
     step = 2**m - 1
     d1 = (s * step + e - 1) % mult_order + 1
     d2 = ((s - l) * step + e - 1) % mult_order + 1
-    # gcd(d1, 2^n - 1) splits across the coprime factors 2^m - 1 and 2^m + 1.
-    gcd_d1_one = gcd(e, 2**m - 1) == 1 and gcd(e - 2 * s, 2**m + 1) == 1
-    return NihoParams(m=m, s=s, l=l, e=e, n=n, d1=d1, d2=d2, gcd_d1_one=gcd_d1_one)
+    return NihoParams(m=m, s=s, l=l, e=e, n=n, d1=d1, d2=d2)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,8 @@ def check_theorem1(p: NihoParams) -> Theorem1Conditions:
     r = gcd(p.l, m_ord)
     cond_ii = gcd(p.e + p.l - 2 * p.s, m_ord) == 1
     return Theorem1Conditions(
-        gcd_d1_ok=p.gcd_d1_one,
+        # d1 is e mod 2^m - 1 and e - 2s mod 2^m + 1, the coprime factors of 2^n - 1
+        gcd_d1_ok=gcd(p.e, 2**p.m - 1) == 1 and gcd(p.e - 2 * p.s, m_ord) == 1,
         r=r,
         r_ok=r > 1,
         cond_ii_ok=cond_ii,

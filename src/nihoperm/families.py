@@ -54,12 +54,12 @@ FAMILY_GROUPS = ("thm1", "prop1", "prop3", "cor2", "cpp-class", "conj")
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """One concrete polynomial with its construction provenance and claims."""
+    """One concrete polynomial with its construction provenance and claim (PP or CPP)."""
 
     family_id: str
     m: int
     poly: SparsePoly
-    claims: frozenset
+    claim: str
     u: int = None
     niho: NihoParams = None
     k1: int = None
@@ -95,8 +95,7 @@ def _coset_family(family_id: str, claim: str, p: NihoParams, r: int,
     for u in complement_coset(circle, r):
         terms = [(1, p.d1), (u, p.d2)] if claim == PP else [(ctx.inv(u), p.d1)]
         poly = SparsePoly.make(ctx, terms)
-        out.append(FamilyInstance(family_id, p.m, poly, frozenset({claim}), u=u, niho=p,
-                                  **provenance))
+        out.append(FamilyInstance(family_id, p.m, poly, claim, u=u, niho=p, **provenance))
     return out
 
 
@@ -272,8 +271,8 @@ def conjecture_trinomials(m: int, ctx: FieldCtx = None) -> tuple:
 def gen_conjecture(m: int, ctx: FieldCtx = None) -> list:
     f, g = conjecture_trinomials(m, ctx)
     return [
-        FamilyInstance("CONJ_F", m, f, frozenset({PP})),
-        FamilyInstance("CONJ_G", m, g, frozenset({PP})),
+        FamilyInstance("CONJ_F", m, f, PP),
+        FamilyInstance("CONJ_G", m, g, PP),
     ]
 
 
@@ -326,7 +325,7 @@ def _sample_tuples(tuples, group, m, budget, seed):
 def verify_claim(inst: FamilyInstance) -> VerificationReport:
     """The check of an instance's claim: ``is_cpp`` for a CPP claim,
     ``is_permutation_brute`` otherwise."""
-    return is_cpp(inst.poly) if CPP in inst.claims else is_permutation_brute(inst.poly)
+    return is_cpp(inst.poly) if inst.claim == CPP else is_permutation_brute(inst.poly)
 
 
 def scan_families(
@@ -370,7 +369,7 @@ def scan_families(
             tuples = _sweep(group, m, s_range, l_range, e_range, k_max)
             for args in _sample_tuples(tuples, group, m, budget, seed):
                 for inst in generators[group](*args, *shared):
-                    key = (inst.poly.terms, CPP in inst.claims)
+                    key = (inst.poly.terms, inst.claim)
                     if key not in cache:
                         cache[key] = verify_claim(inst)
                     records.append((inst, cache[key]))
@@ -399,8 +398,8 @@ def instance_to_obj(inst: FamilyInstance, rep: VerificationReport = None,
         "k2": inst.k2,
         "k3": inst.k3,
         "u": f"0x{inst.u:x}" if inst.u is not None else None,
-        "poly": inst.poly.to_spec() if inst.poly is not None else None,
-        "claims": [c for c in (PP, CPP) if c in inst.claims],
+        "poly": inst.poly.to_spec(),
+        "claims": [inst.claim],
     }
     if rep is not None:
         obj["report"] = rep.to_json(timing=timing)
@@ -413,7 +412,7 @@ def instance_row(inst: FamilyInstance, rep: VerificationReport = None,
     cell, so verdict and elapsed stay blank without a report/timing."""
     obj = instance_to_obj(inst, rep, timing)
     report = obj.get("report", {})
-    cells = {**obj, **(obj["params"] or {}), "u_hex": obj["u"], "claim": "+".join(obj["claims"])}
+    cells = {**obj, **(obj["params"] or {}), "u_hex": obj["u"], "claim": inst.claim}
     if "verdict" in report:
         cells["verdict"] = str(report["verdict"]).lower()
     if "elapsed_ms" in report:

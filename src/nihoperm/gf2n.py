@@ -356,10 +356,6 @@ class FieldCtx:
             frobenius = self._apply(self._squares, frobenius)
         return self._linear_maps(frobenius ^ basis)[0]
 
-    def _subfield_residue(self, arr: np.ndarray) -> np.ndarray:
-        """x^(2^m) + x on arr: linear, zero exactly on GF(2^m)."""
-        return self._apply(self._residue, arr)
-
     def subfield_mask(self) -> np.ndarray:
         """Bool array marking GF(2^m) in GF(2^n): where the residue's table entries agree."""
         lo, hi = self._residue
@@ -417,7 +413,13 @@ class SparsePoly:
         return ",".join(f"{c:x}:{e}" for c, e in self.terms)
 
     def eval(self, x: int) -> int:
-        return eval_sparse(self, x)
+        """f(x) at one point, by scalar ops."""
+        ctx = self.ctx
+        ctx._element(x)
+        acc = 0
+        for coeff, exp in self.terms:
+            acc ^= ctx._mul(coeff, ctx._pow(x, exp))
+        return acc
 
     def plus_x(self) -> "SparsePoly":
         """The map x -> f(x) + x, used for complete-permutation checks."""
@@ -429,13 +431,3 @@ class SparsePoly:
     def has_unit_pivot(self) -> bool:
         """True when some exponent is coprime to 2^n - 1."""
         return any(gcd(e, self.ctx.mult_order) == 1 for _, e in self.terms)
-
-
-def eval_sparse(poly: SparsePoly, x: int) -> int:
-    """Evaluate a sparse polynomial at one point with scalar ops."""
-    ctx = poly.ctx
-    ctx._element(x)
-    acc = 0
-    for coeff, exp in poly.terms:
-        acc ^= ctx._mul(coeff, ctx._pow(x, exp))
-    return acc

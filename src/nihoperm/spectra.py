@@ -20,17 +20,17 @@ serve as an oracle for the others:
                           ``unique_solution_check`` is this path behind
                           Theorem 1's preconditions.
 
-Every engine takes only its polynomial (or, for ``unique_solution_check``,
-its exponent parameters and coefficient): the field comes from the input and
-the unit circle from that field, built once per field and shared, so an engine
-cannot be handed a circle or field that does not belong to its input.
-``delta_path`` is the one rule that decides which delta path applies.
+Every engine takes only its polynomial (or, for ``unique_solution_check``, its exponent
+parameters and coefficient): the field comes from the input and the unit circle from that
+field, built once per field and shared, so an engine cannot be handed a circle or field
+that does not belong to its input.  ``delta_path`` is the one rule that decides which
+delta path applies; its one override, ``force_direct``, lives in ``is_pp_delta_criterion``.
 
-charsum and the direct delta path both take their verdict from one transform
-T, ``_char_spectrum``, O(n 2^n): the sum at gamma is T[A gamma] for the trace
-form A, a bijection that fixes 0, so only a failure reads T, at the gammas its
-witness search asks for.  ``char_sum`` stays the direct O(2^n) sum for one
-gamma, independent of T.  Every engine runs at every supported n.
+charsum and the direct delta path are two calls of one routine, ``_spectrum_witness``,
+on one transform T, ``_char_spectrum``, O(n 2^n): the sum at gamma is T[A gamma] for
+the trace form A, a bijection that fixes 0, so only a failure reads T, at the gammas
+its witness search asks for.  ``char_sum`` stays the direct O(2^n) sum for one gamma,
+independent of T.  Every engine runs at every supported n.
 
 The one whole-field pass is ``_walk``: f in blocks of B = min(2^14, 2^n - 1) consecutive
 powers of alpha.  A term's share of the first block is a run of powers, and each later
@@ -211,46 +211,55 @@ def _char_spectrum(g: SparsePoly) -> np.ndarray:
     return spectrum
 
 
+def _spectrum_witness(f: SparsePoly, c: int, d: int):
+    """None when f permutes, else the smallest delta >= 1 at whose gamma = delta^d / c the
+    character sum of f is nonzero.  f permutes iff every nontrivial additive character sum
+    vanishes (Lidl-Niederreiter, Thm 7.7): one `_char_spectrum` gives the verdict, and only
+    a failure inverts c and runs `_first_delta` on the monomial x^d / c."""
+    ctx, spectrum = f.ctx, _char_spectrum(f)
+    if not spectrum[1:].any():
+        return None
+    return _first_delta(SparsePoly.make(ctx, [(ctx.inv(c), d)]),
+                        lambda gammas: spectrum[ctx._apply(ctx._trace_tables, gammas)] != 0)
+
+
 def is_pp_charsum(g: SparsePoly) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
     t0 = perf_counter()
-    ctx, spectrum, witness = g.ctx, _char_spectrum(g), None
-    if spectrum[1:].any():
-        witness = _first_delta(SparsePoly.make(ctx, [(1, 1)]),
-                               lambda gammas: spectrum[ctx._apply(ctx._trace_tables, gammas)] != 0)
+    witness = _spectrum_witness(g, 1, 1)
     return VerificationReport("charsum", witness is None, witness, perf_counter() - t0,
-                              ctx.field_spec())
+                              g.ctx.field_spec())
 
 
-def delta_path(ctx: FieldCtx, exponents, *, force_direct: bool = False):
+def delta_path(ctx: FieldCtx, exponents):
     """Pivot and path of the delta criterion for these exponents of GF(2^n).
 
     Returns (pivot, engine).  ``pivot`` is the index of the first exponent
     coprime to 2^n - 1, or None when there is none.  ``engine`` is "niho" (the
-    unit-circle path) when every exponent is congruent mod 2^m - 1 and
-    ``force_direct`` is off, otherwise "delta_criterion" (the full-field path).
+    unit-circle path) when every exponent is congruent mod 2^m - 1, otherwise
+    "delta_criterion" (the full-field path).
     """
     pivot = next((i for i, e in enumerate(exponents) if gcd(e, ctx.mult_order) == 1), None)
     step = 2**ctx.m - 1
-    if not force_direct and all((e - exponents[0]) % step == 0 for e in exponents):
-        return pivot, "niho"
-    return pivot, "delta_criterion"
+    congruent = all((e - exponents[0]) % step == 0 for e in exponents)
+    return pivot, "niho" if congruent else "delta_criterion"
 
 
 def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> VerificationReport:
     """Delta-criterion permutation test; witness is the first delta that fails.
 
-    The path is :func:`delta_path`'s.  When every exponent is congruent to the
-    pivot mod 2^m - 1 the per-delta sum depends only on the class of delta
-    mod 2^m + 1, and :func:`_circle_counts` gives every class at once (engine
-    "niho", about (2^m + 1)^2 array work).  Otherwise, or under
-    ``force_direct``, every sum is read off the character spectrum of f over
-    the whole field (engine "delta_criterion", one Walsh-Hadamard transform:
-    cost n 2^n).  On both paths the witness search costs about the witness.
+    The path is :func:`delta_path`'s; ``force_direct`` overrides it here, the one place
+    that does.  When every exponent is congruent to the pivot mod 2^m - 1 the per-delta
+    sum depends only on the class of delta mod 2^m + 1, and :func:`_circle_counts` gives
+    every class at once (engine "niho", about (2^m + 1)^2 array work).  Otherwise, or under
+    ``force_direct``, every sum is read off the spectrum of f by :func:`_spectrum_witness`,
+    as for charsum (engine "delta_criterion", cost n 2^n).  On both paths the witness
+    search costs about the witness.
     """
     t0 = perf_counter()
     ctx = f.ctx
-    pivot, engine = delta_path(ctx, f.exponents(), force_direct=force_direct)
+    pivot, engine = delta_path(ctx, f.exponents())
+    engine = "delta_criterion" if force_direct else engine
     if pivot is None:
         raise ValueError(
             "delta criterion needs a term with exponent coprime to 2^n - 1; "
@@ -276,11 +285,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
         # x -> x/delta turns the sum at delta into the character sum of f at
         # gamma = delta^d1 / c1, and as delta runs over the nonzero elements so
         # does gamma (d1 is coprime to 2^n - 1): the verdict is the spectrum's
-        spectrum = _char_spectrum(f)
-        if spectrum[1:].any():
-            g = SparsePoly.make(ctx, [(ctx.inv(c1), d1)])
-            witness = _first_delta(
-                g, lambda gammas: spectrum[ctx._apply(ctx._trace_tables, gammas)] != 0)
+        witness = _spectrum_witness(f, c1, d1)
     return VerificationReport(engine, witness is None, witness, perf_counter() - t0,
                               ctx.field_spec())
 
@@ -301,9 +306,9 @@ def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
     M = len(pts)
     t = np.arange(M // gcd(M, *qs))[:, None]
     a = np.arange(M)
-    h = np.broadcast_to(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), M))
+    h = np.broadcast_to(ctx._apply(ctx._residue, pts)[a * ds[0] % M], (len(t), M))
     for c, d, q in zip(coeffs, ds[1:], qs):
-        term = np.tile(ctx._subfield_residue(ctx.scalar_mul_vec(c, pts)), 2)[
+        term = np.tile(ctx._apply(ctx._residue, ctx.scalar_mul_vec(c, pts)), 2)[
             (t * q % M).astype(np.uint16) + (a * d % M).astype(np.uint16)]
         h = np.bitwise_xor(term, h, out=term)
     return np.resize(M - np.count_nonzero(h, axis=1), M)
@@ -378,13 +383,13 @@ def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
     failure is the ValueError of the family generators), and u lies on the
     circle but is not an r-th power.
     """
-    ctx = field_new(params.n)
     r = _require_theorem1(params)
-    if not 0 < u < ctx.order or ctx.pow(u, 2**ctx.m + 1) != 1:
+    circle = build_unit_circle(field_new(params.n))
+    if u not in circle:
         raise ValueError(f"u = 0x{u:x} is not on the unit circle")
-    if ctx.pow(u, (2**ctx.m + 1) // r) == 1:
+    if circle.index[u] % r == 0:  # u = g^i is an r-th power iff r | i, as r | 2^m + 1
         raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
-    return is_pp_delta_criterion(SparsePoly.make(ctx, [(1, params.d1), (u, params.d2)]))
+    return is_pp_delta_criterion(SparsePoly.make(circle.ctx, [(1, params.d1), (u, params.d2)]))
 
 
 def is_cpp(f: SparsePoly) -> VerificationReport:

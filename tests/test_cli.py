@@ -479,6 +479,18 @@ GOLDEN = [
      "30dbfc95637fdd8defaa7e74e13f88083b70e610d3c74a8d3833881091961244"),
     ("conjecture --m 3,5 --format json", 0,
      "5a452e4949eb126806920c6558542267b26a9c4176b76a7ab9c8c3351ba7da3e"),
+    # witnesses brute 0xb,0x38, charsum 0x92 and direct delta 0x153: the two spectrum
+    # witnesses differ, and both lie past the first block of 2^m + 1 = 33 deltas
+    ("verify --n 10 --poly 12f:523,234:773 --engines brute,charsum,delta --delta-direct", 1,
+     "19b365890b59d59bcd8251b6eb2b0045d70efbe1f9e2b85de92967ec688b0d92"),
+    ("verify --n 10 --poly 12f:523,234:773 --engines brute,charsum,delta --delta-direct"
+     " --format json", 1,
+     "3ee36ed5ffce6327b17605d2fe7132aeb2686c14c8354a967325a70c5990eddd"),
+    # the niho witness 0x2c also lies past the first block
+    ("verify --n 10 --poly 151:615,12d:925 --engines brute,charsum,delta", 1,
+     "f8129272c64f62e38be6af5377abb45d874bb4a5657c305dfcb5f041f171b916"),
+    ("verify --n 10 --poly 151:615,12d:925 --engines brute,charsum,delta --format json", 1,
+     "1d1319e175fcb1bac3867a0200bff529567be0fcc3454772e3ee65fc8cddcd59"),
 ]
 
 

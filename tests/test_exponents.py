@@ -11,6 +11,7 @@ import pytest
 
 from nihoperm.exponents import (
     NihoParams,
+    check_theorem1,
     gcd_mersenne_like,
     gcd_p_2k1_guaranteed_one,
     make_niho,
@@ -21,7 +22,7 @@ from nihoperm.exponents import (
 def test_make_niho_worked_example():
     p = make_niho(3, 1, 3, 3)
     assert (p.n, p.d1, p.d2) == (6, 10, 52)
-    assert p.gcd_d1_one
+    assert check_theorem1(p).gcd_d1_ok
 
 
 def test_make_niho_negative_raw_d2_canonicalized():
@@ -51,7 +52,7 @@ def test_make_niho_gcd_flag_matches_direct_gcd():
         for s in range(-4, 8):
             for e in range(1, 9):
                 p = make_niho(m, s, 2, e)
-                assert p.gcd_d1_one == (gcd(p.d1, mult_order) == 1), p
+                assert check_theorem1(p).gcd_d1_ok == (gcd(p.d1, mult_order) == 1), p
 
 
 def test_make_niho_validation():
@@ -67,7 +68,7 @@ def test_make_niho_is_frozen():
     p = make_niho(3, 1, 3, 3)
     with pytest.raises(AttributeError):
         p.s = 5
-    assert p == NihoParams(3, 1, 3, 3, 6, 10, 52, True)
+    assert p == NihoParams(3, 1, 3, 3, 6, 10, 52)
 
 
 # -- gcd(2^r +- 1, 2^s +- 1) --------------------------------------------------

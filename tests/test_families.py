@@ -37,7 +37,7 @@ from nihoperm.families import (
     scan_to_jsonl,
     _sweep,
 )
-from nihoperm.gf2n import FieldCtx, field_new
+from nihoperm.gf2n import FieldCtx, SparsePoly, field_new
 from nihoperm.spectra import is_cpp, is_permutation_brute, unique_solution_check
 from nihoperm.unit_circle import build_unit_circle, complement_coset
 
@@ -90,7 +90,7 @@ def test_gen_theorem1_instances(ctx6, circle6):
     assert len(insts) == 6
     assert {i.u for i in insts} == set(complement_coset(circle6, 3))
     for inst in insts:
-        assert inst.family_id == "THM1" and inst.claims == frozenset({PP})
+        assert inst.family_id == "THM1" and inst.claim == PP
         assert inst.m == 3 and inst.niho is p
         assert inst.poly.terms == ((1, 10), (inst.u, 52))
         assert is_permutation_brute(inst.poly).verdict
@@ -191,7 +191,7 @@ def test_gen_prop1_relabels_instances(ctx6, circle6):
     for inst in insts:
         assert inst.family_id == "PROP1_CASE1"
         assert (inst.k1, inst.k2, inst.k3) == (1, 1, 1)
-        assert inst.claims == frozenset({PP})
+        assert inst.claim == PP
         assert is_permutation_brute(inst.poly).verdict
         rep = unique_solution_check(inst.niho, inst.u)
         assert rep.verdict
@@ -213,7 +213,7 @@ def test_gen_prop3_instances(ctx6, circle6):
     insts = gen_prop3(3, 6, ctx6, circle6)
     assert len(insts) == 6
     for inst in insts:
-        assert inst.family_id == "PROP3" and inst.claims == frozenset({PP})
+        assert inst.family_id == "PROP3" and inst.claim == PP
         assert inst.poly.terms == ((inst.u, 1), (1, 43))
         assert is_permutation_brute(inst.poly).verdict
 
@@ -238,7 +238,7 @@ def test_gen_cpp_cor2_counts_and_verdicts(ctx6, circle6):
     insts = gen_cpp_cor2(3, 6, ctx6, circle6)
     assert len(insts) == 6
     for inst in insts:
-        assert inst.family_id == "COR2_CPP" and inst.claims == frozenset({CPP})
+        assert inst.family_id == "COR2_CPP" and inst.claim == CPP
         assert inst.poly.terms == ((ctx6.inv(inst.u), 43),)
         assert is_cpp(inst.poly).verdict
     insts10 = gen_cpp_cor2(5, 3)
@@ -330,7 +330,7 @@ def test_conjecture_validation(ctx6):
 def test_gen_conjecture_instances(ctx6):
     insts = gen_conjecture(3, ctx6)
     assert [i.family_id for i in insts] == ["CONJ_F", "CONJ_G"]
-    assert all(i.claims == frozenset({PP}) for i in insts)
+    assert all(i.claim == PP for i in insts)
     assert all(is_permutation_brute(i.poly).verdict for i in insts)
 
 
@@ -488,5 +488,5 @@ def test_instance_row_blanks_without_report(ctx6, circle6):
 
 def test_family_groups_frozen():
     assert FAMILY_GROUPS == ("thm1", "prop1", "prop3", "cor2", "cpp-class", "conj")
-    inst = FamilyInstance("X", 3, None, frozenset({PP, CPP}))
-    assert instance_row(inst)[CSV_COLUMNS.index("claim")] == "PP+CPP"
+    inst = FamilyInstance("X", 3, SparsePoly.make(field_new(6), [(1, 7)]), CPP)
+    assert instance_row(inst)[CSV_COLUMNS.index("claim")] == "CPP"

@@ -304,7 +304,7 @@ def test_pow_vec_is_reached_only_through_values_over_domain(monkeypatch):
     monkeypatch.setattr(FieldCtx, "pow_vec", recorded)
     # a field built by hand, with no table yet, squares its way to the subfield residue
     ctx = FieldCtx(10, *gf2n._PINNED[10])
-    ctx._subfield_residue(np.arange(8, dtype=np.uint32))
+    ctx._apply(ctx._residue, np.arange(8, dtype=np.uint32))
     ctx.subfield_mask()
     assert callers == []
     # u an r-th power on the circle (r = 3): the niho path finds a witness
@@ -780,9 +780,13 @@ def test_delta_path_pivot_and_engine(ctx6):
     assert delta_path(ctx6, (3, 10)) == (1, "niho")  # 10 - 3 = 7 = 2^m - 1
     assert delta_path(ctx6, (7, 14)) == (None, "niho")
     assert delta_path(ctx6, (7, 9)) == (None, "delta_criterion")
-    assert delta_path(ctx6, (10, 52), force_direct=True) == (0, "delta_criterion")
     assert delta_path(ctx6, (2, 10)) == (0, "delta_criterion")
-    assert delta_path(field_new(14), (130, 16132), force_direct=True) == (0, "delta_criterion")
+    # the override lives in is_pp_delta_criterion, not in the path rule
+    f6 = SparsePoly.make(ctx6, [(1, 10), (6, 52)])
+    assert is_pp_delta_criterion(f6, force_direct=True).engine == "delta_criterion"
+    f14 = SparsePoly.make(field_new(14), [(1, 130), (1, 16132)])
+    assert delta_path(f14.ctx, f14.exponents()) == (0, "niho")
+    assert is_pp_delta_criterion(f14, force_direct=True).engine == "delta_criterion"
 
 
 def test_circle_paths_run_above_n12():
@@ -841,9 +845,9 @@ def circle_counts_reference(circle, ds, coeffs, qs):
     M = len(pts)
     t = np.arange(M // gcd(M, *qs))[:, None]
     a = np.arange(M)
-    h = np.tile(ctx._subfield_residue(pts)[a * ds[0] % M], (len(t), 1))
+    h = np.tile(ctx._apply(ctx._residue, pts)[a * ds[0] % M], (len(t), 1))
     for c, d, q in zip(coeffs, ds[1:], qs):
-        h ^= ctx._subfield_residue(ctx.scalar_mul_vec(c, pts))[(t * q + a * d) % M]
+        h ^= ctx._apply(ctx._residue, ctx.scalar_mul_vec(c, pts))[(t * q + a * d) % M]
     return np.resize((h == 0).sum(axis=1), M)
 
 
@@ -953,6 +957,9 @@ def test_unique_solution_precondition_errors(ctx6, circle6):
     off = ctx6.pow(ctx6.primitive, 9)  # generates the subfield, not the circle
     with pytest.raises(ValueError, match="not on the unit circle"):
         unique_solution_check(make_niho(3, 1, 3, 3), off)
+    for outside in (64 + circle6.elements[1], -1):  # outside GF(2^6)
+        with pytest.raises(ValueError, match="not on the unit circle"):
+            unique_solution_check(make_niho(3, 1, 3, 3), outside)
     cube = power_subgroup(circle6, 3)[1]
     with pytest.raises(ValueError, match="r-th power"):
         unique_solution_check(make_niho(3, 1, 3, 3), cube)

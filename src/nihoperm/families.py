@@ -104,9 +104,6 @@ def gen_theorem1(p: NihoParams, ctx: FieldCtx = None, circle: UnitCircle = None)
     return _coset_family("THM1", PP, p, _require_theorem1(p), ctx, circle)
 
 
-_CASE_PARITY = {1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0}
-
-
 def prop1_params(case: int, m: int, k1: int, k2: int = None, k3: int = None) -> NihoParams:
     """Exponent parameters for the six explicit r = 3 cases.
 
@@ -122,13 +119,13 @@ def prop1_params(case: int, m: int, k1: int, k2: int = None, k3: int = None) -> 
     nonnegative integer (rules out e.g. case 1 with k3 = 0).  Cases 3-6 take
     no k2 or k3.
     """
-    if case not in _CASE_PARITY:
+    if case not in range(1, 7):
         raise ValueError(f"case must be 1..6, got {case}")
     if m % 2 == 0:
         raise ValueError(f"m must be odd, got {m}")
     if k1 < 0:
         raise ValueError(f"k1 must be nonnegative, got {k1}")
-    parity = _CASE_PARITY[case]
+    parity = case % 2
     parity_name = "odd" if parity else "even"
     if k1 % 2 != parity:
         raise ValueError(f"case {case} requires {parity_name} k1, got {k1}")

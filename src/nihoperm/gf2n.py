@@ -31,10 +31,10 @@ Only `trace_bits()` and `subfield_mask()` spread a pair over the whole field, as
 product of its two tables, into a new array; every cache holds one pair.  The product
 of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
-`spectra._values_over_domain`, for the witness searches.  Public scalar ops and kernels
-raise a ValueError naming any element outside the field; their inner loops (`_mul`,
-`_mul_vec`) do not check, and a context whose element does not generate GF(2^n)* is
-refused, as the whole-field walk relies on it.
+`spectra._values_over_domain`, for the witness searches.  `FieldCtx._element` is the one
+check of an element, here and in the engines: a ValueError naming n and the outsider.  The
+inner loops (`_mul`, `_mul_vec`) do not check, and a context whose element does not
+generate GF(2^n)* is refused, as the whole-field walk relies on it.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class FieldCtx:
         # the walk runs over powers of the element; the tests check the pinned pairs, so
         # the first `field_new` of each n skips `_generates` (0.35 ms at n = 20)
         if _PINNED.get(n) != (irreducible, primitive) and not self._generates():
-            raise ValueError(f"0x{primitive:x} does not generate GF(2^{n})* modulo "
-                             f"0x{irreducible:x}: need a modulus of degree {n} and an "
+            raise ValueError(f"{primitive:#x} does not generate GF(2^{n})* modulo "
+                             f"{irreducible:#x}: need a modulus of degree {n} and an "
                              f"element of order 2^{n} - 1")
 
     def _generates(self) -> bool:
@@ -137,9 +137,9 @@ class FieldCtx:
         return a ^ b
 
     def _element(self, a: int) -> int:
-        """a, else a ValueError naming n and a: the check of every public scalar op."""
+        """a, else a ValueError naming n and a: the one check of a field element."""
         if not 0 <= a < self.order:
-            raise ValueError(f"element {a} (0x{a:x}) outside GF(2^{self.n})")
+            raise ValueError(f"element {a} ({a:#x}) outside GF(2^{self.n})")
         return a
 
     def mul(self, a: int, b: int) -> int:
@@ -238,16 +238,15 @@ class FieldCtx:
             a ^= ((a >> np.uint32(self.n)) & np.uint32(1)) * irr
         return p
 
-    def powers(self, a, count: int, start=1) -> np.ndarray:
-        """start * a^i for i < count as a uint32 array, or a row per element of a list a
-        (and of start, if a list): a chain of ``mul`` gives the first ceil(count / 2^k)
-        <= 8, and k doublings pts[s : 2s] = a^s * pts[:s] the rest, tables from one build."""
-        bases = [a] if np.ndim(a) == 0 else a
+    def powers(self, bases: list, count: int, starts: list) -> np.ndarray:
+        """A (len(bases), count) uint32 array whose row j is starts[j] * bases[j]^i, i < count
+        (lists of equal length): a chain of ``mul`` gives the first ceil(count / 2^k) <= 8, and
+        k doublings row[s : 2s] = base^s * row[:s] the rest, tables from one build."""
         k = max(0, (count - 1).bit_length() - 3)
         head = -(-count >> k)
         pts = np.empty((len(bases), count), dtype=np.uint32)
         steps = []
-        for row, base, first in zip(pts, bases, np.broadcast_to(start, len(bases)).tolist()):
+        for row, base, first in zip(pts, bases, starts, strict=True):
             chain = [self._element(first)]
             self._element(base)
             while len(chain) < head:
@@ -262,7 +261,7 @@ class FieldCtx:
             for row, pair in zip(pts, maps):
                 self._apply(pair, row[:take], out=row[size : size + take])
             size += take
-        return pts if np.ndim(a) else pts[0]
+        return pts
 
     def _times_basis(self, c: int, count: int) -> list:
         """c * x^j for j < count by shift-and-reduce, for an element c."""
@@ -303,9 +302,7 @@ class FieldCtx:
 
     def scalar_mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
         """c * arr for a single field element c."""
-        if not 0 <= c < self.order:
-            raise ValueError(f"scalar c={c} outside GF(2^{self.n})")
-        return self._apply(self._scalar_tables([c])[0], self._elements(arr))
+        return self._apply(self._scalar_tables([self._element(c)])[0], self._elements(arr))
 
     @cached_property
     def _squares(self) -> np.ndarray:
@@ -385,8 +382,7 @@ class SparsePoly:
     def make(cls, ctx: FieldCtx, terms) -> "SparsePoly":
         merged: dict[int, int] = {}
         for coeff, exp in terms:
-            if not 0 <= coeff < ctx.order:
-                raise ValueError(f"coefficient 0x{coeff:x} outside GF(2^{ctx.n})")
+            ctx._element(coeff)
             e = canonical_exponent(exp, ctx.n)
             merged[e] = merged.get(e, 0) ^ coeff
         canon = tuple((c, e) for e, c in sorted(merged.items()) if c != 0)

@@ -44,7 +44,7 @@ of a failing brute, and a monomial at the deltas of ``_first_delta``, the delta 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from time import perf_counter
 
@@ -55,7 +55,6 @@ from .gf2n import FieldCtx, SparsePoly, canonical_exponent, field_new
 from .unit_circle import UnitCircle, build_unit_circle
 
 __all__ = [
-    "SparsePoly",
     "VerificationReport",
     "char_sum",
     "count_unit_circle_solutions",
@@ -70,19 +69,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one engine run: verdict plus a checkable witness on failure.
+    """Outcome of one engine run: its witness, from which the verdict follows.
 
     ``witness`` is None on success, a failing element (gamma or delta) for the
     character engines, or a colliding input pair (x1, x2) for the brute
-    engine.  ``elapsed`` is wall-clock seconds; it is serialized only when
+    engine; ``verdict`` is ``witness is None``, so every failure carries a
+    witness.  ``elapsed`` is wall-clock seconds; it is serialized only when
     requested so that reports are byte-stable by default.
     """
 
     engine: str
-    verdict: bool
     witness: object
     elapsed: float
     field: dict
+
+    @property
+    def verdict(self) -> bool:
+        return self.witness is None
 
     def witness_hex(self):
         if self.witness is None:
@@ -171,17 +174,16 @@ def is_permutation_brute(f: SparsePoly) -> VerificationReport:
         seen[block.astype(np.intp)] = True  # cast and scatter beat a uint32 scatter
         if k == 0 and np.count_nonzero(seen) <= len(block):
             break  # a repeat inside the first block: the rest is not needed
-    verdict, witness = bool(seen.all()), None
-    if not verdict:
+    witness = None
+    if not seen.all():
         witness = _first_collision(lambda xs: _values_over_domain(f, xs), ctx.order)
-    return VerificationReport("brute", verdict, witness, perf_counter() - t0, ctx.field_spec())
+    return VerificationReport("brute", witness, perf_counter() - t0, ctx.field_spec())
 
 
 def char_sum(g: SparsePoly, gamma: int) -> int:
     """Sum over x of (-1)^Tr(gamma * g(x)); equals 2^n when gamma = 0."""
     ctx = g.ctx
-    if not 0 <= gamma < ctx.order:
-        raise ValueError(f"gamma 0x{gamma:x} outside GF(2^{ctx.n})")
+    ctx._element(gamma)
     # x = 0 adds Tr(0) = 0, so the blocks of the walk suffice; Tr(y) is bit 0 of A y
     images = ctx.scalar_mul_vec(gamma, np.concatenate([*_walk(g)]))
     ones = int((ctx._apply(ctx._trace_tables, images, out=images) & 1).sum())
@@ -227,8 +229,7 @@ def is_pp_charsum(g: SparsePoly) -> VerificationReport:
     """Character-sum permutation test; witness is the first gamma that fails."""
     t0 = perf_counter()
     witness = _spectrum_witness(g, 1, 1)
-    return VerificationReport("charsum", witness is None, witness, perf_counter() - t0,
-                              g.ctx.field_spec())
+    return VerificationReport("charsum", witness, perf_counter() - t0, g.ctx.field_spec())
 
 
 def delta_path(ctx: FieldCtx, exponents):
@@ -286,8 +287,7 @@ def is_pp_delta_criterion(f: SparsePoly, *, force_direct: bool = False) -> Verif
         # gamma = delta^d1 / c1, and as delta runs over the nonzero elements so
         # does gamma (d1 is coprime to 2^n - 1): the verdict is the spectrum's
         witness = _spectrum_witness(f, c1, d1)
-    return VerificationReport(engine, witness is None, witness, perf_counter() - t0,
-                              ctx.field_spec())
+    return VerificationReport(engine, witness, perf_counter() - t0, ctx.field_spec())
 
 
 def _circle_counts(circle: UnitCircle, ds, coeffs, qs) -> np.ndarray:
@@ -342,8 +342,7 @@ def _check_niho_shape(ctx: FieldCtx, d_list, w_list):
     if pivot != 0:
         raise ValueError(f"gcd(d1={ds[0]}, 2^n - 1) != 1")
     for w in w_list:
-        if not 0 <= w < ctx.order:
-            raise ValueError(f"coefficient 0x{w:x} outside GF(2^{ctx.n})")
+        ctx._element(w)
     return ds
 
 
@@ -386,9 +385,9 @@ def unique_solution_check(params: NihoParams, u: int) -> VerificationReport:
     r = _require_theorem1(params)
     circle = build_unit_circle(field_new(params.n))
     if u not in circle:
-        raise ValueError(f"u = 0x{u:x} is not on the unit circle")
+        raise ValueError(f"u = {u:#x} is not on the unit circle")
     if circle.index[u] % r == 0:  # u = g^i is an r-th power iff r | i, as r | 2^m + 1
-        raise ValueError(f"u = 0x{u:x} is an r-th power on the circle (r = {r})")
+        raise ValueError(f"u = {u:#x} is an r-th power on the circle (r = {r})")
     return is_pp_delta_criterion(SparsePoly.make(circle.ctx, [(1, params.d1), (u, params.d2)]))
 
 
@@ -398,5 +397,4 @@ def is_cpp(f: SparsePoly) -> VerificationReport:
     rep = is_permutation_brute(f)
     if rep.verdict:
         rep = is_permutation_brute(f.plus_x())
-    return VerificationReport("brute", rep.verdict, rep.witness, perf_counter() - t0,
-                              f.ctx.field_spec())
+    return replace(rep, elapsed=perf_counter() - t0)

@@ -46,7 +46,7 @@ def build_unit_circle(ctx: FieldCtx) -> UnitCircle:
     """Materialize U = {x : x^(2^m + 1) = 1} as powers of a fixed generator, once per field
     (cached by the ctx, equal by value): callers share it and, by ``circle.ctx``, its tables."""
     g = ctx.pow(ctx.primitive, 2**ctx.m - 1)
-    pts = ctx.powers(g, 2**ctx.m + 1)
+    pts = ctx.powers([g], 2**ctx.m + 1, [1])[0]
     return UnitCircle(ctx=ctx, generator=g, elements=tuple(pts.tolist()))
 
 

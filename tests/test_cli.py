@@ -220,7 +220,7 @@ def test_main_builds_one_parser(capsys, monkeypatch):
 
 
 def test_verify_engine_disagreement_exit_code(capsys, monkeypatch):
-    fake = VerificationReport("brute", False, (0, 1), 0.0, {"n": 6})
+    fake = VerificationReport("brute", (0, 1), 0.0, {"n": 6})
     monkeypatch.setattr(cli, "is_permutation_brute", lambda poly: fake)
     code, out, _ = run_cli(
         capsys, "verify", "--n", "6", "--poly", "1:1", "--engines", "brute,charsum"

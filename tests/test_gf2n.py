@@ -283,8 +283,9 @@ def test_scalar_mul_vec_matches_mul_vec(ctx):
         got = ctx.scalar_mul_vec(c, sample)
         want = ctx.mul_vec(np.full(len(sample), c, np.uint32), sample)
         assert np.array_equal(got, want)
-    for c in (ctx.order, -1):
-        with pytest.raises(ValueError, match=f"c={c} outside GF\\(2\\^{ctx.n}\\)"):
+    for c, hex_c in ((ctx.order, f"0x{ctx.order:x}"), (-1, "-0x1")):
+        outside = f"element {c} \\({hex_c}\\) outside GF\\(2\\^{ctx.n}\\)"
+        with pytest.raises(ValueError, match=outside):
             ctx.scalar_mul_vec(c, sample)
 
 
@@ -341,24 +342,27 @@ def test_powers_match_a_scalar_chain(ctx):
         chain.append(ctx.mul(chain[-1], a))
     # counts on both sides of the scalar head (8) and of each doubling
     for count in (0, 1, 2, 7, 8, 9, 33, 64, 65, 128, 129, 1000, 1025):
-        got = ctx.powers(a, count)
+        got = ctx.powers([a], count, [1])[0]
         assert got.dtype == np.uint32
         assert got.tolist() == chain[:count]
         # a start c scales the row
         c = 1 + count % (ctx.order - 1)
-        assert ctx.powers(a, count, c).tolist() == [ctx.mul(c, p) for p in chain[:count]]
+        assert ctx.powers([a], count, [c])[0].tolist() == [ctx.mul(c, p) for p in chain[:count]]
 
 
 def test_powers_of_a_list_are_one_row_per_element(ctx):
     rng = random.Random(8700 + ctx.n)
     bases = [rng.randrange(2, ctx.order) for _ in range(3)]
     starts = [rng.randrange(1, ctx.order) for _ in range(3)]
-    rows = ctx.powers(bases, 300)
+    rows = ctx.powers(bases, 300, [1] * 3)
     assert rows.shape == (3, 300)
     for base, start, row, scaled in zip(bases, starts, rows, ctx.powers(bases, 300, starts)):
-        assert row.tolist() == ctx.powers(base, 300).tolist()
-        assert scaled.tolist() == ctx.powers(base, 300, start).tolist()
-    assert ctx.powers([], 300).shape == (0, 300)
+        assert row.tolist() == ctx.powers([base], 300, [1])[0].tolist()
+        assert scaled.tolist() == ctx.powers([base], 300, [start])[0].tolist()
+    assert ctx.powers([], 300, []).shape == (0, 300)
+    # one start per base: a single start is not spread over two bases
+    with pytest.raises(ValueError):
+        ctx.powers(bases[:2], 300, [1])
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 31, 32, 100])
@@ -547,6 +551,8 @@ def test_sparse_poly_validation():
     ctx = field_new(4)
     with pytest.raises(ValueError):
         SparsePoly.make(ctx, [(16, 1)])  # coefficient outside the field
+    with pytest.raises(ValueError, match="element -1 \\(-0x1\\) outside GF\\(2\\^4\\)"):
+        SparsePoly.make(ctx, [(-1, 1)])
     with pytest.raises(ValueError):
         SparsePoly.make(ctx, [(1, 0)])  # constant terms unsupported
 

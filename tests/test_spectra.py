@@ -112,16 +112,16 @@ def random_poly(ctx, rng, max_terms=3):
 
 
 def test_report_witness_hex_shapes():
-    rep = VerificationReport("brute", True, None, 0.0, {})
-    assert rep.witness_hex() is None
-    rep = VerificationReport("charsum", False, 10, 0.0, {})
-    assert rep.witness_hex() == "0xa"
-    rep = VerificationReport("brute", False, (1, 6), 0.0, {})
-    assert rep.witness_hex() == "0x1,0x6"
+    rep = VerificationReport("brute", None, 0.0, {})
+    assert rep.witness_hex() is None and rep.verdict is True
+    rep = VerificationReport("charsum", 10, 0.0, {})
+    assert rep.witness_hex() == "0xa" and rep.verdict is False
+    rep = VerificationReport("brute", (1, 6), 0.0, {})
+    assert rep.witness_hex() == "0x1,0x6" and rep.verdict is False
 
 
 def test_report_to_json_key_order():
-    rep = VerificationReport("niho", True, None, 0.00123, {"n": 6})
+    rep = VerificationReport("niho", None, 0.00123, {"n": 6})
     assert list(rep.to_json()) == ["engine", "verdict", "witness", "field"]
     timed = rep.to_json(timing=True)
     assert list(timed) == ["engine", "verdict", "witness", "elapsed_ms", "field"]
@@ -208,7 +208,7 @@ def test_values_over_domain_across_block_boundaries():
         for i in exps:
             assert int(walk[i]) == f.eval(ctx.pow(ctx.primitive, i))
         expected = unblocked_values(f)
-        assert np.array_equal(walk, expected[ctx.powers(ctx.primitive, ctx.mult_order)])
+        assert np.array_equal(walk, expected[ctx.powers([ctx.primitive], ctx.mult_order, [1])[0]])
         # the x-order kernel works in chunks of B points: across two chunk edges,
         # and at single points
         xs = ctx.domain()[B - 5 : 3 * B + 5]
@@ -357,7 +357,7 @@ def test_walk_of_a_one_block_field_is_f_in_alpha_order(n):
     f = four_terms(ctx, random.Random(1400 + n))
     blocks = [*spectra._walk(f)]
     assert len(blocks) == 1
-    alpha_order = ctx.powers(ctx.primitive, ctx.mult_order)
+    alpha_order = ctx.powers([ctx.primitive], ctx.mult_order, [1])[0]
     assert np.array_equal(blocks[0], unblocked_values(f)[alpha_order])
 
 
@@ -373,7 +373,7 @@ def test_walk_blocks_survive_the_steps_after_them(n, size):
     assert len(f.terms) == size
     blocks = list(spectra._walk(f))
     assert len(blocks) == -(-ctx.mult_order // spectra._BLOCK)
-    alpha_order = ctx.powers(ctx.primitive, ctx.mult_order)
+    alpha_order = ctx.powers([ctx.primitive], ctx.mult_order, [1])[0]
     assert np.array_equal(np.concatenate(blocks), unblocked_values(f)[alpha_order])
 
 
@@ -551,7 +551,7 @@ def test_char_sum_gamma_zero_and_range(ctx6):
     assert char_sum(f, 0) == ctx6.order
     with pytest.raises(ValueError):
         char_sum(f, ctx6.order)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element -1 \\(-0x1\\) outside GF\\(2\\^6\\)"):
         char_sum(f, -1)
 
 
@@ -836,6 +836,8 @@ def test_circle_count_input_validation(ctx6):
         count_unit_circle_solutions(ctx6, [7, 14], [1])
     with pytest.raises(ValueError, match="outside"):
         count_unit_circle_solutions(ctx6, [10, 52], [64])
+    with pytest.raises(ValueError, match="element -1 \\(-0x1\\) outside GF\\(2\\^6\\)"):
+        count_unit_circle_solutions(ctx6, [10, 52], [-1])
 
 
 def circle_counts_reference(circle, ds, coeffs, qs):
@@ -960,6 +962,8 @@ def test_unique_solution_precondition_errors(ctx6, circle6):
     for outside in (64 + circle6.elements[1], -1):  # outside GF(2^6)
         with pytest.raises(ValueError, match="not on the unit circle"):
             unique_solution_check(make_niho(3, 1, 3, 3), outside)
+    with pytest.raises(ValueError, match="u = -0x1 is not"):
+        unique_solution_check(make_niho(3, 1, 3, 3), -1)
     cube = power_subgroup(circle6, 3)[1]
     with pytest.raises(ValueError, match="r-th power"):
         unique_solution_check(make_niho(3, 1, 3, 3), cube)

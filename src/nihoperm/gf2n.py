@@ -33,15 +33,15 @@ of two arrays (`mul_vec`, and so `pow_vec`) keeps the shift-and-reduce bit loop.
 No log/antilog tables are used anywhere; the only engine caller of `pow_vec` is
 `spectra._values_over_domain`, for the witness searches.  `FieldCtx._element` is the one
 check of an element, here and in the engines: a ValueError naming n and the outsider.  The
-inner loops (`_mul`, `_mul_vec`) do not check, and a context whose element does not
-generate GF(2^n)* is refused, as the whole-field walk relies on it.
+inner loops (`_mul`, `_mul_vec`) do not check.  Fields of one order are isomorphic, so n names
+the field; the tests re-derive each pinned pair by the rule above, the walk's generator included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -72,56 +72,35 @@ def canonical_exponent(k: int, n: int) -> int:
 
 
 class FieldCtx:
-    """GF(2^n) with a pinned modulus and primitive element.
+    """GF(2^n) with the modulus and primitive element pinned for n.
 
-    :func:`field_new` gives the one context per n.  Its lazy tables go in `__dict__`, and the
-    slots keep attribute reads fast once they do (CPython 3.11 slows reads through a written
-    `__dict__`).  Equality is by value: a context built by hand with the same (n, irreducible,
-    primitive) is equal and hashes alike, though it builds tables of its own.
+    :func:`field_new` gives the one shared context per n.  Its lazy tables go in `__dict__`, and
+    the slots keep attribute reads fast once they do (CPython 3.11 slows reads through a written
+    `__dict__`).  Equality is by n: `FieldCtx(n)` equals `field_new(n)` and hashes alike, though
+    it builds tables of its own.
     """
     __slots__ = "n m order mult_order irreducible primitive _low _shift __dict__".split()
 
-    def __init__(self, n: int, irreducible: int, primitive: int):
+    def __init__(self, n: int):
         if n not in _PINNED:
             raise ValueError(f"unsupported field degree n={n}: need even n with 4 <= n <= 20")
         self.n = n
         self.m = n // 2
         self.order = 1 << n
         self.mult_order = self.order - 1
-        self.irreducible = irreducible
-        self.primitive = primitive
+        self.irreducible, self.primitive = _PINNED[n]
         self._low, self._shift = np.uint32((1 << self.m) - 1), np.uint32(self.m)  # for `_apply`
-        # the walk runs over powers of the element; the tests check the pinned pairs, so
-        # the first `field_new` of each n skips `_generates` (0.35 ms at n = 20)
-        if _PINNED.get(n) != (irreducible, primitive) and not self._generates():
-            raise ValueError(f"{primitive:#x} does not generate GF(2^{n})* modulo "
-                             f"{irreducible:#x}: need a modulus of degree {n} and an "
-                             f"element of order 2^{n} - 1")
-
-    def _generates(self) -> bool:
-        """Whether the modulus has degree n and a = primitive has order N = 2^n - 1, which
-        also proves the modulus irreducible: a^N = 1 and a^(N/q) != 1 for each prime q | N.
-        `_pow` reduces mod N, so a^N is a^(N - 1) a."""
-        a, N = self.primitive, self.mult_order
-        primes = [q for q in range(2, 2**self.m + 2)  # q | (2^m - 1)(2^m + 1)
-                  if N % q == 0 and all(q % p for p in range(2, isqrt(q) + 1))]
-        return (self.irreducible.bit_length() == self.n + 1 and 0 < a < self.order
-                and self._mul(self._pow(a, N - 1), a) == 1
-                and all(self._pow(a, N // q) != 1 for q in primes))
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, irreducible=0x{self.irreducible:x})"
 
-    def _key(self) -> tuple:
-        return (self.n, self.irreducible, self.primitive)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldCtx):
             return NotImplemented
-        return self._key() == other._key()
+        return self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.n)
 
     def field_spec(self) -> dict:
         """JSON-ready description of the field, embedded in every report."""
@@ -361,8 +340,8 @@ class FieldCtx:
 
 @cache
 def field_new(n: int) -> FieldCtx:
-    """The pinned GF(2^n) context for even n in [4, 20], one per n; `FieldCtx` refuses other n."""
-    return FieldCtx(n, *_PINNED.get(n, (0, 0)))
+    """The shared `FieldCtx(n)` for even n in [4, 20], one per n; `FieldCtx` refuses other n."""
+    return FieldCtx(n)
 
 
 @dataclass(frozen=True)

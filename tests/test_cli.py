@@ -528,6 +528,19 @@ def test_readme_cli_block_runs(capsys):
         assert code == 0, (argv, err)
 
 
+def test_readme_python_block_runs():
+    """The ```python block under ## Quick start in README.md runs, warnings as errors, on
+    this checkout's sources, and every polynomial it prints is a PP."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text.split("\n## Quick start\n", 1)[1], re.S)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block.group(1)],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith("True") for line in lines), proc.stdout
+
+
 def test_installed_entry_point_runs(monkeypatch):
     """The console script when installed, else the module entry point run
     from this checkout's sources."""

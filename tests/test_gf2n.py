@@ -4,7 +4,8 @@ The multiplication oracle here is deliberately different from the library's
 shift-and-reduce loop: carry-less product first, then polynomial long
 division by the modulus.  Primitivity of the pinned generators doubles as an
 irreducibility proof for the pinned moduli (a ring with zero divisors cannot
-contain an element of multiplicative order 2^n - 1).
+contain an element of multiplicative order 2^n - 1), and every pinned pair is
+derived again from the rule the gf2n docstring states, with this oracle alone.
 """
 
 import json
@@ -93,7 +94,51 @@ def test_primitive_element_has_full_order(ctx):
     assert ctx.mul(ctx.pow(ctx.primitive, ctx.mult_order - 1), ctx.primitive) == 1
     for q in prime_factors(ctx.mult_order):
         assert ctx.pow(ctx.primitive, ctx.mult_order // q) != 1
-    assert ctx._generates()  # the check that a pinned pair skips on construction
+
+
+def powmod(a: int, k: int, mod: int) -> int:
+    """a^k modulo mod in GF(2)[x], by square-and-multiply on the oracle product."""
+    result = 1
+    while k:
+        if k & 1:
+            result = polymod(clmul(result, a), mod)
+        a = polymod(clmul(a, a), mod)
+        k >>= 1
+    return result
+
+
+def is_irreducible(f: int) -> bool:
+    """Rabin's test for f of degree n over GF(2): x^(2^n) = x mod f, and
+    gcd(x^(2^(n/q)) - x, f) = 1 for each prime q dividing n."""
+    n = f.bit_length() - 1
+
+    def x_to_2_to(k):
+        return powmod(0b10, 2**k, f)
+
+    def gcd(a, b):
+        while b:
+            a, b = b, polymod(a, b)
+        return a
+
+    return x_to_2_to(n) == 0b10 and all(
+        gcd(f, x_to_2_to(n // q) ^ 0b10) == 1 for q in prime_factors(n))
+
+
+def test_pinned_pairs_follow_the_stated_rule():
+    # the rule of the gf2n docstring, derived with the oracle product only: the least
+    # irreducible trinomial, else the least irreducible pentanomial; then the least
+    # element of order 2^n - 1.  This is the proof of every pinned pair.
+    for n in SUPPORTED_N:
+        top = (1 << n) | 1
+        trinomials = [top | 1 << k for k in range(1, n)]
+        pentanomials = sorted(top | 1 << a | 1 << b | 1 << c
+                              for a in range(3, n) for b in range(2, a) for c in range(1, b))
+        modulus = next(filter(is_irreducible, trinomials), None) or next(
+            filter(is_irreducible, pentanomials))
+        N = 2**n - 1
+        element = next(a for a in range(1, 1 << n) if powmod(a, N, modulus) == 1
+                       and all(powmod(a, N // q, modulus) != 1 for q in prime_factors(N)))
+        assert gf2n._PINNED[n] == (modulus, element), n
 
 
 def test_mul_matches_long_division_oracle(ctx):
@@ -223,44 +268,15 @@ def test_field_spec_shape(ctx):
 
 def test_field_equality_is_by_value():
     for n in SUPPORTED_N:
-        a, b = field_new(n), FieldCtx(n, *gf2n._PINNED[n])  # one field per n; b by hand
+        a, b = field_new(n), FieldCtx(n)  # one field per n; b by hand
         assert a is field_new(n)
         assert a is not b and a == b and hash(a) == hash(b)
+        assert (b.irreducible, b.primitive) == gf2n._PINNED[n]
     assert field_new(6) != field_new(8)
-    assert field_new(6) != FieldCtx(6, 0x61, 0x2)  # same n, another modulus
     assert field_new(6) != 6
     assert SparsePoly.from_spec(field_new(6), "1:10,6:52") == SparsePoly.from_spec(
         field_new(6), "1:10,6:52"
     )
-
-
-@pytest.mark.parametrize("irreducible, primitive", [
-    (0x43, 0x3),  # x^6 + x + 1 is primitive, but x + 1 has order 21
-    (0x41, 0x2),  # x^6 + 1 is reducible
-    (0x49, 0x2),  # x^6 + x^3 + 1 is irreducible, but x has order 9
-    (0x13, 0x2),  # a modulus of degree 4
-])
-def test_field_rejects_an_element_that_does_not_generate(irreducible, primitive):
-    # on f = x, these once gave a false charsum verdict or an IndexError
-    with pytest.raises(ValueError, match=rf"0x{primitive:x} .*GF\(2\^6\).* 0x{irreducible:x}"):
-        FieldCtx(6, irreducible, primitive)
-    assert FieldCtx(6, 0x61, 0x2).primitive == 0x2  # x^6 + x^5 + 1, in which x is primitive
-
-
-def test_field_accepts_exactly_the_pairs_of_full_order():
-    # every modulus of degree 4 and every element, against orbits of the oracle product
-    for irreducible in range(0x10, 0x20):
-        for a in range(16):
-            orbit, p = set(), 1
-            for _ in range(15):
-                p = polymod(clmul(p, a), irreducible)
-                orbit.add(p)
-            try:
-                FieldCtx(4, irreducible, a)
-            except ValueError:
-                assert len(orbit - {0}) < 15, (irreducible, a)
-            else:
-                assert len(orbit - {0}) == 15, (irreducible, a)
 
 
 # -- vectorized kernels -------------------------------------------------------
@@ -486,15 +502,10 @@ def test_trace_bits_and_subfield_mask(ctx):
         assert bool(mask[x]) == (ctx.pow(x, 2**ctx.m) == x)
 
 
-def test_trace_form_of_a_field_built_by_hand():
-    # a modulus and element other than the pinned ones
-    assert_trace_form(FieldCtx(6, 0x61, 0x2), range(64))
-
-
-@pytest.mark.parametrize("n", [*SUPPORTED_N, "by hand"])
+@pytest.mark.parametrize("n", SUPPORTED_N)
 def test_trace_form_from_the_modulus_matches_scalar_traces(n):
     # Newton's identities read Tr(x^k) off the modulus; the scalar trace squares its way there
-    ctx = FieldCtx(6, 0x61, 0x2) if n == "by hand" else field_new(n)
+    ctx = field_new(n)
     lo, hi = ctx._trace_tables
     images = [int(lo[1 << i] if i < ctx.m else hi[1 << (i - ctx.m)]) for i in range(ctx.n)]
     assert images == [sum(ctx.trace(ctx.mul(1 << i, 1 << j)) << j for j in range(ctx.n))

@@ -13,8 +13,8 @@ gives a delta polynomial, built here from its definition, with a nonzero
 
 These run at n <= 10, inside one block of the walk.  A smaller property,
 ``test_engines_agree_across_the_walk_seam``, takes the same checks to
-n = 12, 14 (the one-block edge) and 16 (stepped blocks), and to a field
-built by hand with another modulus.
+n = 12, 14 (the one-block edge) and 16, 18 (stepped blocks), with n = 6
+alongside.
 """
 
 from math import gcd
@@ -22,7 +22,7 @@ from math import gcd
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from nihoperm.gf2n import FieldCtx, SparsePoly, field_new
+from nihoperm.gf2n import SparsePoly, field_new
 from nihoperm.spectra import (
     char_sum,
     count_unit_circle_solutions,
@@ -179,7 +179,7 @@ def test_charsum_direct_and_brute_agree(f):
 
 SEAM_CIRCLES = {ctx: build_unit_circle(ctx)
                 for ctx in (field_new(18), field_new(16), field_new(14), field_new(12),
-                            FieldCtx(6, 0x61, 0x2))}
+                            field_new(6))}
 
 
 @st.composite
